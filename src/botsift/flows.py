@@ -153,14 +153,14 @@ def _optional_int(cell: str, reason: str) -> Optional[int]:
         return None
     try:
         return int(float(cell))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise FlowParseError(reason, cell) from exc
 
 
 def _count(cell: str, name: str) -> int:
     try:
         value = int(float(cell))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FlowParseError(f"bad_{name}", cell) from exc
     if value < 0:
         raise FlowParseError(f"negative_{name}", cell)

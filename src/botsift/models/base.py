@@ -9,7 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-ARTIFACT_FORMAT_VERSION = 1
+from . import trees
+
+ARTIFACT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -46,7 +48,11 @@ class ModelArtifact:
 def load_artifact(path) -> ModelArtifact:
     doc = json.loads(Path(path).read_text())
     version = doc.get("format_version")
-    if version != ARTIFACT_FORMAT_VERSION:
+    if version == 1 and doc["family"] in ("rf", "gboost"):
+        # version 1 stored each tree as nested dicts
+        doc["parameters"]["trees"] = [
+            trees.from_v1(tree) for tree in doc["parameters"]["trees"]]
+    elif version not in (1, ARTIFACT_FORMAT_VERSION):
         raise ValueError(f"unsupported artifact format_version: {version}")
     return ModelArtifact(
         family=doc["family"],

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..windows import Dataset
+from . import trees
 from .base import ModelArtifact, check_both_classes, sigmoid
 
 
@@ -36,92 +37,12 @@ class BoostingParams:
             raise ValueError("learning_rate must be > 0")
 
 
-def best_sse_split(x: np.ndarray, t: np.ndarray):
-    """Best threshold for one feature under sum-of-squared-error
-    reduction: (decrease, threshold), or None for a constant feature."""
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ts = t[order]
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
-    if boundaries.size == 0:
-        return None
-
-    n = x.shape[0]
-    s1 = np.cumsum(ts)
-    s2 = np.cumsum(ts * ts)
-    total1 = s1[-1]
-    total2 = s2[-1]
-    parent = total2 - total1 * total1 / n
-
-    n_left = boundaries + 1
-    l1 = s1[boundaries]
-    l2 = s2[boundaries]
-    n_right = n - n_left
-    sse_left = l2 - l1 * l1 / n_left
-    sse_right = (total2 - l2) - (total1 - l1) ** 2 / n_right
-    decrease = parent - (sse_left + sse_right)
-
-    best = int(np.argmax(decrease))
-    pos = boundaries[best]
-    threshold = (xs[pos] + xs[pos + 1]) / 2.0
-    return float(decrease[best]), float(threshold)
-
-
-def grow_regression_tree(X: np.ndarray, targets: np.ndarray,
-                         max_depth: int, leaf_value) -> dict:
-    """Least-squares tree on `targets`; `leaf_value(idx)` supplies the
-    value stored at each leaf."""
-
-    def build(idx: np.ndarray, depth: int) -> dict:
-        t_node = targets[idx]
-        if (idx.shape[0] < 2 or depth >= max_depth
-                or np.all(t_node == t_node[0])):
-            return {"leaf": leaf_value(idx)}
-
-        best = None  # (decrease, feature, threshold)
-        for f in range(X.shape[1]):
-            found = best_sse_split(X[idx, f], t_node)
-            if found is None:
-                continue
-            decrease, threshold = found
-            if best is None or decrease > best[0]:
-                best = (decrease, f, threshold)
-        if best is None:
-            return {"leaf": leaf_value(idx)}
-
-        _, feature, threshold = best
-        left_mask = X[idx, feature] <= threshold
-        return {
-            "f": feature,
-            "t": threshold,
-            "l": build(idx[left_mask], depth + 1),
-            "r": build(idx[~left_mask], depth + 1),
-        }
-
-    return build(np.arange(X.shape[0]), 0)
-
-
-def tree_value(tree: dict, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-
-    def walk(node: dict, idx: np.ndarray):
-        if "leaf" in node:
-            out[idx] = node["leaf"]
-            return
-        left = X[idx, node["f"]] <= node["t"]
-        walk(node["l"], idx[left])
-        walk(node["r"], idx[~left])
-
-    walk(tree, np.arange(X.shape[0]))
-    return out
-
-
 def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
     check_both_classes(ds.labels, "gboost")
     X = ds.rows
     y = ds.labels.astype(float)
     y_pm = 2.0 * y - 1.0
-    n = ds.n
+    n, d = X.shape
     p0 = float(y.mean())
 
     if hp.loss == "deviance":
@@ -139,26 +60,23 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
         return float(np.mean(np.exp(np.clip(-y_pm * F, -50, 50))))
 
     stage_losses = [training_loss()]
-    trees = []
+    stages = []
     for _ in range(hp.n_trees):
         if hp.loss == "deviance":
             p = sigmoid(F)
-            residual = y - p
-
-            def leaf_value(idx, p=p, residual=residual):
-                denom = float(np.sum(p[idx] * (1.0 - p[idx])))
-                return float(np.sum(residual[idx])) / max(denom, 1e-12)
+            residual, hessian = y - p, p * (1.0 - p)
         else:
             w = np.exp(np.clip(-y_pm * F, -50, 50))
-            residual = y_pm * w
+            residual, hessian = y_pm * w, w
 
-            def leaf_value(idx, w=w, residual=residual):
-                denom = float(np.sum(w[idx]))
-                return float(np.sum(residual[idx])) / max(denom, 1e-12)
+        def leaf_value(idx):
+            denom = float(np.sum(hessian[idx]))
+            return float(np.sum(residual[idx])) / max(denom, 1e-12)
 
-        tree = grow_regression_tree(X, residual, hp.max_depth, leaf_value)
-        trees.append(tree)
-        F = F + hp.learning_rate * tree_value(tree, X)
+        tree = trees.grow(X, residual, trees.sse_decrease, hp.max_depth,
+                          lambda: range(d), leaf_value)
+        stages.append(tree)
+        F = F + hp.learning_rate * trees.predict(tree, X)
         stage_losses.append(training_loss())
 
     return ModelArtifact(
@@ -168,7 +86,7 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
                      "learning_rate": hp.learning_rate, "seed": hp.seed},
         feature_names=list(ds.feature_names),
         standardization=None,
-        parameters={"f0": f0, "trees": trees},
+        parameters={"f0": f0, "trees": stages},
         metadata={"n_train": n, "stage_losses": stage_losses},
     )
 
@@ -177,7 +95,7 @@ def score_boosting(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     F = np.full(X.shape[0], artifact.parameters["f0"])
     lr = artifact.hyperparams["learning_rate"]
     for tree in artifact.parameters["trees"]:
-        F += lr * tree_value(tree, X)
+        F += lr * trees.predict(tree, X)
     if artifact.hyperparams["loss"] == "deviance":
         return sigmoid(F)
     return sigmoid(2.0 * F)

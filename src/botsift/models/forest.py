@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..windows import Dataset
+from . import trees
 from .base import ModelArtifact
 
 
@@ -33,107 +34,27 @@ class ForestParams:
             raise ValueError("max_depth must be >= 1 or None")
 
 
-def best_gini_split(x: np.ndarray, y: np.ndarray):
-    """Best threshold for one feature: (impurity decrease, threshold).
-
-    Candidates are midpoints between consecutive distinct sorted values.
-    Returns None when the feature is constant over the node.
-    """
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    ys = y[order]
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # split after position i
-    if boundaries.size == 0:
-        return None
-
-    n = x.shape[0]
-    total_pos = int(ys.sum())
-    parent = _gini(total_pos, n)
-
-    n_left = boundaries + 1
-    left_pos = np.cumsum(ys)[boundaries]
-    n_right = n - n_left
-    right_pos = total_pos - left_pos
-
-    gini_left = 1.0 - ((left_pos / n_left) ** 2
-                       + ((n_left - left_pos) / n_left) ** 2)
-    gini_right = 1.0 - ((right_pos / n_right) ** 2
-                        + ((n_right - right_pos) / n_right) ** 2)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    decrease = parent - weighted
-
-    best = int(np.argmax(decrease))
-    pos = boundaries[best]
-    threshold = (xs[pos] + xs[pos + 1]) / 2.0
-    return float(decrease[best]), float(threshold)
-
-
-def _gini(pos: int, n: int) -> float:
-    p = pos / n
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-
-def _leaf(y: np.ndarray) -> dict:
-    pos = int(y.sum())
-    # majority class; ties predict botnet
-    return {"leaf": 1 if pos * 2 >= y.shape[0] else 0}
-
-
 def grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
               max_depth: Optional[int], n_candidates: int,
               importances: np.ndarray) -> dict:
-    """Recursively grow one classification tree; accumulates raw
-    impurity-decrease importances weighted by node fraction."""
-    n_root = X.shape[0]
-    d = X.shape[1]
+    """Grow one classification tree on a fresh random feature subset per
+    node; accumulates raw impurity-decrease importances weighted by node
+    fraction."""
+    n_root, d = X.shape
 
-    def build(idx: np.ndarray, depth: int) -> dict:
-        y_node = y[idx]
-        if y_node.shape[0] < 2 or len(np.unique(y_node)) == 1:
-            return _leaf(y_node)
-        if max_depth is not None and depth >= max_depth:
-            return _leaf(y_node)
+    def features():
+        return np.sort(rng.choice(d, size=min(n_candidates, d),
+                                  replace=False))
 
-        candidates = rng.choice(d, size=min(n_candidates, d), replace=False)
-        candidates.sort()
-        best = None  # (decrease, feature, threshold)
-        for f in candidates:
-            found = best_gini_split(X[idx, f], y_node)
-            if found is None:
-                continue
-            decrease, threshold = found
-            if best is None or decrease > best[0]:
-                best = (decrease, int(f), threshold)
-        if best is None:
-            return _leaf(y_node)
+    def leaf_value(idx):
+        # majority class; ties predict botnet
+        return 1 if int(y[idx].sum()) * 2 >= idx.shape[0] else 0
 
-        decrease, feature, threshold = best
+    def on_split(idx, feature, decrease):
         importances[feature] += (idx.shape[0] / n_root) * decrease
-        left_mask = X[idx, feature] <= threshold
-        return {
-            "f": feature,
-            "t": threshold,
-            "l": build(idx[left_mask], depth + 1),
-            "r": build(idx[~left_mask], depth + 1),
-        }
 
-    return build(np.arange(n_root), 0)
-
-
-def tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Class per row, routing index blocks down the tree."""
-    out = np.zeros(X.shape[0], dtype=int)
-
-    def walk(node: dict, idx: np.ndarray):
-        if "leaf" in node:
-            out[idx] = node["leaf"]
-            return
-        left = X[idx, node["f"]] <= node["t"]
-        walk(node["l"], idx[left])
-        walk(node["r"], idx[~left])
-
-    walk(tree, np.arange(X.shape[0]))
-    return out
+    return trees.grow(X, y, trees.gini_decrease, max_depth, features,
+                      leaf_value, on_split)
 
 
 def train_random_forest(ds: Dataset, hp: ForestParams,
@@ -159,7 +80,7 @@ def train_random_forest(ds: Dataset, hp: ForestParams,
     else:
         results = [one_tree(t) for t in range(hp.n_trees)]
 
-    trees = [tree for tree, _ in results]
+    forest = [tree for tree, _ in results]
     importances = np.sum([imp for _, imp in results], axis=0)
     total = importances.sum()
     if total > 0:
@@ -171,15 +92,15 @@ def train_random_forest(ds: Dataset, hp: ForestParams,
                      "seed": hp.seed},
         feature_names=list(ds.feature_names),
         standardization=None,
-        parameters={"trees": trees,
+        parameters={"trees": forest,
                     "feature_importances": importances.tolist()},
         metadata={"n_train": n, "split_candidates": n_candidates},
     )
 
 
 def score_forest(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    trees = artifact.parameters["trees"]
+    forest = artifact.parameters["trees"]
     votes = np.zeros(X.shape[0])
-    for tree in trees:
-        votes += tree_predict(tree, X)
-    return votes / len(trees)
+    for tree in forest:
+        votes += trees.predict(tree, X)
+    return votes / len(forest)

@@ -21,9 +21,8 @@ import pytest
 from botsift.cli import main
 from botsift.evaluation import evaluate_once, prf1, repeated_eval
 from botsift.flows import load_scenario
-from botsift.models import ForestParams
-from botsift.models.forest import (best_gini_split, grow_tree,
-                                   train_random_forest, tree_predict)
+from botsift.models import ForestParams, trees
+from botsift.models.forest import grow_tree, train_random_forest
 from botsift.models.nn import (bce_from_logits, forward_backward,
                                forward_logits, init_network,
                                parameter_counts)
@@ -182,7 +181,7 @@ def test_criterion_05_tree_oracle():
         n = int(rng.integers(5, 60))
         x = np.round(rng.normal(0, 2, n), 1)
         y = rng.integers(0, 2, n)
-        found = best_gini_split(x, y)
+        found = trees.best_split(x, y, trees.gini_decrease)
         expected = gini_oracle(x, y)
         if expected is None or expected[0] <= 0.0:
             continue
@@ -194,7 +193,7 @@ def test_criterion_05_tree_oracle():
         importances = np.zeros(1)
         stump = grow_tree(x[:, None], y, np.random.default_rng(0), 1, 1,
                           importances)
-        assert stump["t"] == expected[1]
+        assert stump["threshold"][0] == expected[1]
     assert checked >= 100
 
     # consistent data (all-distinct rows) must be fit exactly
@@ -205,7 +204,7 @@ def test_criterion_05_tree_oracle():
         y[0], y[1] = 1, 0
         tree = grow_tree(X, y, np.random.default_rng(seed), None, 3,
                          np.zeros(3))
-        assert prf1(y, tree_predict(tree, X)).f1 == 1.0
+        assert prf1(y, trees.predict(tree, X)).f1 == 1.0
 
     ds = Dataset(rng.normal(size=(200, 4)), rng.integers(0, 2, 200),
                  ["a", "b", "c", "d"])

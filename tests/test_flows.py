@@ -136,6 +136,19 @@ def test_load_scenario_counts_accepted_and_rejected(tmp_path):
     assert len(table.records) == 2
 
 
+def test_load_scenario_counts_infinite_cells(tmp_path):
+    path = tmp_path / "inf.csv"
+    write_capture(path, [make_row(), make_row(TotPkts="inf"),
+                         make_row(TotBytes="-inf"), make_row(SrcBytes="inf"),
+                         make_row(sTos="inf"), make_row(dTos="-inf")])
+    stats = load_scenario(path).parse_stats
+    assert stats.accepted == 1
+    assert stats.rejected == 5
+    assert stats.reason_counts["bad_packet_count"] == 1
+    assert stats.reason_counts["bad_byte_count"] == 2
+    assert stats.reason_counts["bad_tos"] == 2
+
+
 def test_load_scenario_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_capture(path, [])

@@ -1,17 +1,19 @@
 """Random forest and gradient boosting against brute-force split
 oracles, a closed-form stump, and structural invariants."""
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from botsift.models import ForestParams, predict
+from botsift.models import ForestParams, predict, trees
 from botsift.models.base import ModelArtifact, load_artifact
-from botsift.models.boosting import (BoostingParams, best_sse_split,
-                                     grow_regression_tree, score_boosting,
-                                     train_boosting, tree_value)
-from botsift.models.forest import (best_gini_split, grow_tree,
-                                   score_forest, train_random_forest,
-                                   tree_predict)
+from botsift.models.boosting import (BoostingParams, score_boosting,
+                                     train_boosting)
+from botsift.models.forest import (grow_tree, score_forest,
+                                   train_random_forest)
 from botsift.windows import Dataset
 
 SIGMOID_2 = 0.8807970779778823    # 1 / (1 + e^-2)
@@ -72,7 +74,7 @@ class TestGiniSplits:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)  # force duplicate values
             y = rng.integers(0, 2, size=n)
-            found = best_gini_split(x, y)
+            found = trees.best_split(x, y, trees.gini_decrease)
             expected = gini_oracle(x, y)
             if expected is None:
                 assert found is None
@@ -82,7 +84,8 @@ class TestGiniSplits:
             assert threshold == expected[1]
 
     def test_constant_feature_returns_none(self):
-        assert best_gini_split(np.ones(5), np.array([0, 1, 0, 1, 0])) is None
+        assert trees.best_split(np.ones(5), np.array([0, 1, 0, 1, 0]),
+                                trees.gini_decrease) is None
 
     def test_depth1_tree_threshold_matches_oracle(self):
         rng = np.random.default_rng(35)
@@ -96,7 +99,7 @@ class TestGiniSplits:
                              max_depth=1, n_candidates=1,
                              importances=np.zeros(1))
             expected = gini_oracle(x, y)
-            assert tree["t"] == expected[1]
+            assert tree["threshold"][0] == expected[1]
 
 
 class TestForest:
@@ -122,10 +125,14 @@ class TestForest:
                                    atol=1e-12)
 
     def test_tied_vote_predicts_botnet(self):
+        def leaf(value):
+            return {"feature": [-1], "threshold": [0.0], "left": [-1],
+                    "right": [-1], "value": [value]}
+
         artifact = ModelArtifact(
             family="rf", hyperparams={"n_trees": 2},
             feature_names=["a"], standardization=None,
-            parameters={"trees": [{"leaf": 1}, {"leaf": 0}],
+            parameters={"trees": [leaf(1), leaf(0)],
                         "feature_importances": [1.0]})
         scores, labels = predict(artifact, np.zeros((3, 1)))
         np.testing.assert_array_equal(scores, 0.5)
@@ -163,8 +170,8 @@ class TestForest:
                              np.zeros(3))
             lifted = grow_tree(transformed, y, np.random.default_rng(seed),
                                None, 2, np.zeros(3))
-            np.testing.assert_array_equal(tree_predict(base, X),
-                                          tree_predict(lifted, transformed))
+            np.testing.assert_array_equal(
+                trees.predict(base, X), trees.predict(lifted, transformed))
 
     def test_thread_count_does_not_change_the_artifact(self):
         ds = self.separable(seed=16)
@@ -172,6 +179,19 @@ class TestForest:
         solo = train_random_forest(ds, hp, n_threads=1)
         pooled = train_random_forest(ds, hp, n_threads=4)
         assert solo.to_json() == pooled.to_json()
+
+    def test_training_leaves_no_reference_cycles(self):
+        # a cycle would keep each tree's bootstrap copy of the training
+        # rows alive until the cyclic collector happens to run
+        ds = self.separable(seed=19)
+        gc.collect()
+        gc.disable()
+        try:
+            train_random_forest(ds, ForestParams(n_trees=5, seed=6),
+                                n_threads=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_artifact_round_trip(self, tmp_path):
         ds = self.separable(seed=17)
@@ -198,10 +218,11 @@ class TestForest:
         artifact = train_random_forest(ds, ForestParams(n_trees=3, seed=5,
                                                         max_depth=1))
 
-        def depth(node):
-            if "leaf" in node:
+        def depth(tree, node=0):
+            if tree["feature"][node] < 0:
                 return 0
-            return 1 + max(depth(node["l"]), depth(node["r"]))
+            return 1 + max(depth(tree, tree["left"][node]),
+                           depth(tree, tree["right"][node]))
 
         assert all(depth(t) <= 1 for t in artifact.parameters["trees"])
 
@@ -221,7 +242,7 @@ class TestBoosting:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)
             t = rng.normal(size=n)
-            found = best_sse_split(x, t)
+            found = trees.best_split(x, t, trees.sse_decrease)
             expected = sse_oracle(x, t)
             if expected is None:
                 assert found is None
@@ -269,10 +290,12 @@ class TestBoosting:
     def test_regression_tree_fits_targets_at_depth(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         targets = np.array([5.0, 5.0, -1.0, -1.0])
-        tree = grow_regression_tree(
-            X, targets, max_depth=2,
+        tree = trees.grow(
+            X, targets, trees.sse_decrease, max_depth=2,
+            features=lambda: range(1),
             leaf_value=lambda idx: float(targets[idx].mean()))
-        np.testing.assert_allclose(tree_value(tree, X), targets, atol=1e-12)
+        np.testing.assert_allclose(trees.predict(tree, X), targets,
+                                   atol=1e-12)
 
     def test_single_class_errors(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.zeros(4, dtype=int),
@@ -319,3 +342,104 @@ class TestBoosting:
                                 hp)
         np.testing.assert_array_equal(score_boosting(base, X),
                                       score_boosting(lifted, transformed))
+
+
+def walk_oracle(tree, row):
+    """Leaf value for one row, following child links node by node."""
+    node = 0
+    while tree["feature"][node] >= 0:
+        if row[tree["feature"][node]] <= tree["threshold"][node]:
+            node = tree["left"][node]
+        else:
+            node = tree["right"][node]
+    return tree["value"][node]
+
+
+def assert_optimal_split(found, x, t, oracle, tol):
+    """`found` carries the oracle's best decrease at a threshold where
+    the oracle reaches that decrease (equal-gain splits may tie)."""
+    expected = oracle(x, t)
+    if expected is None:
+        assert found is None
+        return
+    decrease, threshold = found
+    assert abs(decrease - expected[0]) <= tol
+    xs = np.unique(x)
+    assert threshold in (xs[1:] + xs[:-1]) / 2.0
+    if threshold != expected[1]:
+        # the same split seen as a one-boundary binary feature
+        at_found = oracle((x > threshold).astype(float), t)
+        assert abs(at_found[0] - expected[0]) <= tol
+
+
+def test_splits_match_the_stable_tie_order_bit_for_bit():
+    # trees must stay bit-identical to those grown when every scan summed
+    # tied rows in stable order; float sums depend on that order
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 20, size=2000).astype(float)
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
+        boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
+        for t, decrease in ((rng.normal(size=2000), trees.sse_decrease),
+                            (rng.integers(0, 2, size=2000),
+                             trees.gini_decrease)):
+            gains = decrease(t[order], boundaries)
+            pos = boundaries[int(np.argmax(gains))]
+            expected = (float(gains.max()), (xs[pos] + xs[pos + 1]) / 2.0)
+            assert trees.best_split(x, t, decrease) == expected
+
+
+# values on a coarse grid, so duplicates and ties are common
+grid_values = st.integers(-6, 6).map(lambda v: v / 2.0)
+
+
+class TestTreeCoreProperties:
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(grid_values, st.integers(0, 1)),
+                    min_size=1, max_size=30))
+    def test_gini_split_matches_oracle(self, pairs):
+        x = np.array([v for v, _ in pairs])
+        y = np.array([label for _, label in pairs])
+        assert_optimal_split(trees.best_split(x, y, trees.gini_decrease),
+                             x, y, gini_oracle, 1e-12)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(grid_values, st.integers(-20, 20)),
+                    min_size=1, max_size=30))
+    def test_sse_split_matches_oracle(self, pairs):
+        x = np.array([v for v, _ in pairs])
+        t = np.array([target / 4.0 for _, target in pairs])
+        assert_optimal_split(trees.best_split(x, t, trees.sse_decrease),
+                             x, t, sse_oracle, 1e-9)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_predict_matches_per_row_walk(self, data):
+        n = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 3))
+        X = np.array(data.draw(st.lists(grid_values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        targets = np.array(data.draw(st.lists(st.integers(-3, 3),
+                                              min_size=n, max_size=n)),
+                           dtype=float)
+        max_depth = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        tree = trees.grow(X, targets, trees.sse_decrease, max_depth,
+                          lambda: range(d),
+                          lambda idx: float(targets[idx].mean()))
+
+        assert len({len(tree[key]) for key in trees.FIELDS}) == 1
+        for node, feature in enumerate(tree["feature"]):
+            if feature >= 0:  # preorder: the left child comes next
+                assert tree["left"][node] == node + 1
+                assert tree["right"][node] > node + 1
+
+        # quarter steps hit every split threshold exactly
+        probes = np.array(data.draw(st.lists(
+            st.integers(-14, 14).map(lambda v: v / 4.0),
+            min_size=d, max_size=10 * d)))
+        probes = probes[:probes.size // d * d].reshape(-1, d)
+        for rows in (X, probes):
+            expected = [walk_oracle(tree, row) for row in rows]
+            np.testing.assert_array_equal(trees.predict(tree, rows),
+                                          expected)
