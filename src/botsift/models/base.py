@@ -39,7 +39,7 @@ class ModelArtifact:
             "parameters": _jsonable(self.parameters),
             "metadata": _jsonable(self.metadata),
         }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def save(self, path):
         Path(path).write_text(self.to_json())

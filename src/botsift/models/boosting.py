@@ -61,6 +61,7 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
 
     stage_losses = [training_loss()]
     stages = []
+    order = trees.presort(X)  # X is the same for every stage
     for _ in range(hp.n_trees):
         if hp.loss == "deviance":
             p = sigmoid(F)
@@ -74,7 +75,7 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
             return float(np.sum(residual[idx])) / max(denom, 1e-12)
 
         tree = trees.grow(X, residual, trees.sse_decrease, hp.max_depth,
-                          lambda: range(d), leaf_value)
+                          lambda: range(d), leaf_value, order=order)
         stages.append(tree)
         F = F + hp.learning_rate * trees.predict(tree, X)
         stage_losses.append(training_loss())

@@ -14,16 +14,21 @@ import numpy as np
 FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
-def gini_decrease(ys: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Gini-impurity decrease of 0/1 labels `ys` (sorted by the feature)
-    for a split after each position in `boundaries`."""
-    n = ys.shape[0]
-    total_pos = int(ys.sum())
+def gini_decrease(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Gini-impurity decrease of 0/1 labels `ys` with integer
+    multiplicities `ws`, both (k, m) and each row sorted by one feature,
+    for a split after each of the first m - 1 positions of every row."""
+    # integer sums, exact in float64 and cheaper to divide there
+    counts = np.cumsum(ws, axis=1, dtype=float)
+    positives = np.cumsum(ys * ws, axis=1, dtype=float)
+    # every row holds the same rows, so the totals are shared
+    n = float(counts[0, -1])
+    total_pos = float(positives[0, -1])
     p = total_pos / n
     parent = 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
-    n_left = boundaries + 1
-    left_pos = np.cumsum(ys)[boundaries]
+    n_left = counts[:, :-1]
+    left_pos = positives[:, :-1]
     n_right = n - n_left
     right_pos = total_pos - left_pos
 
@@ -35,73 +40,121 @@ def gini_decrease(ys: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
     return parent - weighted
 
 
-def sse_decrease(ts: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Sum-of-squared-error reduction of targets `ts` (sorted by the
-    feature) for a split after each position in `boundaries`."""
-    n = ts.shape[0]
-    s1 = np.cumsum(ts)
-    s2 = np.cumsum(ts * ts)
-    total1 = s1[-1]
-    total2 = s2[-1]
+def sse_decrease(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Sum-of-squared-error reduction of targets `ts` with integer
+    multiplicities `ws`, both (k, m) and each row sorted by one feature,
+    for a split after each of the first m - 1 positions of every row."""
+    counts = np.cumsum(ws, axis=1, dtype=float)
+    s1 = np.cumsum(ts * ws, axis=1)
+    s2 = np.cumsum(ts * ts * ws, axis=1)
+    n = counts[:, -1:]
+    total1 = s1[:, -1:]
+    total2 = s2[:, -1:]
     parent = total2 - total1 * total1 / n
 
-    n_left = boundaries + 1
-    l1 = s1[boundaries]
-    l2 = s2[boundaries]
-    n_right = n - n_left
+    n_left = counts[:, :-1]
+    l1 = s1[:, :-1]
+    l2 = s2[:, :-1]
     sse_left = l2 - l1 * l1 / n_left
-    sse_right = (total2 - l2) - (total1 - l1) ** 2 / n_right
+    sse_right = (total2 - l2) - (total1 - l1) ** 2 / (n - n_left)
     return parent - (sse_left + sse_right)
 
 
-def best_split(x: np.ndarray, t: np.ndarray, decrease):
-    """(decrease, threshold) of the best midpoint between consecutive
-    distinct values of one feature, ties keeping the lowest threshold;
-    None when the feature is constant over the node."""
-    # integer sums are exact in any tie order; float sums need the stable one
-    order = np.argsort(x, kind="stable" if t.dtype.kind == "f" else None)
-    xs = x[order]
-    boundaries = np.nonzero(xs[1:] > xs[:-1])[0]  # split after position i
-    if boundaries.size == 0:
+def best_split(xs: np.ndarray, ts: np.ndarray, ws: np.ndarray, decrease):
+    """(decrease, threshold, row) of the best split of a (k, m) block
+    whose rows each hold one feature's values `xs` in ascending order,
+    with the targets `ts` and positive integer weights `ws` of the same
+    rows in the same order. Thresholds are midpoints between consecutive
+    distinct values; ties keep the lowest block row, then the lowest
+    threshold. None when every row of `xs` is constant."""
+    boundary = xs[:, 1:] > xs[:, :-1]  # split after position i
+    if not boundary.any():
         return None
-    gains = decrease(t[order], boundaries)
-    best = int(np.argmax(gains))
-    pos = boundaries[best]
-    threshold = (xs[pos] + xs[pos + 1]) / 2.0
-    return float(gains[best]), float(threshold)
+    gains = np.where(boundary, decrease(ts, ws), -np.inf)
+    row, pos = divmod(int(np.argmax(gains)), gains.shape[1])
+    threshold = (xs[row, pos] + xs[row, pos + 1]) / 2.0
+    return float(gains[row, pos]), float(threshold), row
+
+
+def presort(X: np.ndarray) -> np.ndarray:
+    """(d + 1, n) row ids: row f lists the rows of `X` by ascending
+    feature f, ties in increasing row order; the last row lists them in
+    increasing order."""
+    order = np.empty((X.shape[1] + 1, X.shape[0]), dtype=np.intp)
+    order[:-1] = np.argsort(X, axis=0, kind="stable").T
+    order[-1] = np.arange(X.shape[0])
+    return order
 
 
 def grow(X: np.ndarray, targets: np.ndarray, decrease,
          max_depth: int | None, features, leaf_value,
-         on_split=None) -> dict:
-    """Grow one tree on the rows of `X`, splitting under `decrease`.
+         on_split=None, weights: np.ndarray | None = None,
+         order: np.ndarray | None = None) -> dict:
+    """Grow one tree on the rows of `X` that have a positive integer
+    weight (default: every row, weight 1), splitting under `decrease`;
+    a row of weight w counts as w copies everywhere.
 
-    A node is a leaf holding `leaf_value(idx)` when it has under 2 rows,
-    sits at `max_depth` (None = unbounded), has constant targets, or no
-    feature that `features()` then offers varies; ties keep the feature
-    offered first. `on_split(idx, feature, decrease)` sees each split."""
+    `order` is `presort(X)`, which callers that grow many trees on one
+    `X` compute once. It is split down the tree without sorting again,
+    so every node scans its rows in the order of a stable sort of that
+    node alone. A node is a leaf holding `leaf_value(idx)`, idx its rows
+    in increasing order, when its weight is under 2, it sits at
+    `max_depth` (None = unbounded), has constant targets, or no feature
+    that `features()` then offers varies; ties keep the feature offered
+    first. `on_split(idx, feature, decrease)` sees each split."""
+    if weights is None:
+        weights = np.ones(X.shape[0], dtype=np.int64)
+    if order is None:
+        order = presort(X)
+    member = np.zeros(X.shape[0], dtype=bool)
+
+    def cut(rows):
+        """The columns of `rows` whose row ids are set in `member`."""
+        # np.compress is several times faster than a boolean index here
+        return np.compress(member.take(rows).ravel(), rows).reshape(
+            rows.shape[0], -1)
+
+    # A node is (a presorted block that holds its rows, which ids of the
+    # block's last row are its own, depth). Only a node that splits cuts
+    # its own block out of that one, and only when that at least halves
+    # it; a larger node cuts just the rows it scans and passes the block
+    # on. Leaves cut nothing, and no node scans a block over twice its
+    # size.
     def split(node):
-        idx, depth = node
+        base, mine, depth = node
+        idx = np.compress(mine, base[-1])
         t_node = targets[idx]
-        if (idx.shape[0] < 2 or (max_depth is not None and depth >= max_depth)
+        if (weights[idx].sum() < 2
+                or (max_depth is not None and depth >= max_depth)
                 or np.all(t_node == t_node[0])):
             return None
-        best = None  # (decrease, feature, threshold)
-        for f in features():
-            found = best_split(X[idx, f], t_node, decrease)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(f), found[1])
-        if best is None:
+        offered = np.asarray(features(), dtype=np.intp)
+        if idx.shape[0] < base.shape[1]:
+            member[base[-1]] = mine
+            if 2 * idx.shape[0] <= base.shape[1]:
+                base, mine = cut(base), np.ones(idx.shape[0], dtype=bool)
+        block = base[offered]
+        if idx.shape[0] < base.shape[1]:
+            block = cut(block)
+        xs = X[block, offered[:, None]]
+        found = best_split(xs, targets[block], weights[block], decrease)
+        if found is None:
             return None
-        gain, feature, threshold = best
+        gain, threshold, k = found
+        feature = int(offered[k])
         if on_split is not None:
             on_split(idx, feature, gain)
-        left = X[idx, feature] <= threshold
-        return (feature, threshold,
-                (idx[left], depth + 1), (idx[~left], depth + 1))
+        # the rows with x <= threshold lead the sorted row of the feature
+        n_left = int(np.count_nonzero(xs[k] <= threshold))
+        member[base[-1]] = False
+        member[block[k, :n_left]] = True
+        left = member.take(base[-1])
+        return (feature, threshold, (base, left, depth + 1),
+                (base, mine & ~left, depth + 1))
 
-    return _preorder((np.arange(X.shape[0]), 0), split,
-                     lambda node: leaf_value(node[0]))
+    return _preorder((order, weights.take(order[-1]) > 0, 0), split,
+                     lambda node: leaf_value(np.compress(node[1],
+                                                         node[0][-1])))
 
 
 def from_v1(root: dict) -> dict:
@@ -138,16 +191,18 @@ def _preorder(root, split, leaf_value) -> dict:
 
 
 def predict(tree: dict, X: np.ndarray) -> np.ndarray:
-    """Leaf value per row, moving all rows down one level per step."""
-    feature = np.asarray(tree["feature"], dtype=np.intp)
-    threshold = np.asarray(tree["threshold"], dtype=float)
-    left = np.asarray(tree["left"], dtype=np.intp)
-    right = np.asarray(tree["right"], dtype=np.intp)
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    rows = np.arange(X.shape[0])
-    while rows.size:
-        rows = rows[feature[node[rows]] >= 0]
-        at = node[rows]
-        go_left = X[rows, feature[at]] <= threshold[at]
-        node[rows] = np.where(go_left, left[at], right[at])
-    return np.asarray(tree["value"])[node]
+    """Leaf value per row; each node splits the rows that reach it."""
+    feature, threshold = tree["feature"], tree["threshold"]
+    left, right, value = tree["left"], tree["right"], tree["value"]
+    out = np.empty(X.shape[0], dtype=np.asarray(value).dtype)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[rows] = value[node]
+        elif rows.size:
+            go_left = X[rows, f] <= threshold[node]
+            stack += [(left[node], rows[go_left]),
+                      (right[node], rows[~go_left])]
+    return out

@@ -12,7 +12,7 @@ from botsift.models import ForestParams, predict, trees
 from botsift.models.base import ModelArtifact, load_artifact
 from botsift.models.boosting import (BoostingParams, score_boosting,
                                      train_boosting)
-from botsift.models.forest import (grow_tree, score_forest,
+from botsift.models.forest import (distinct_pairs, grow_tree, score_forest,
                                    train_random_forest)
 from botsift.windows import Dataset
 
@@ -67,6 +67,18 @@ def sse_oracle(x, t):
     return best
 
 
+def scan(x, t, decrease, weights=None):
+    """(decrease, threshold) of `trees.best_split` on one feature's
+    values, presorted and weighted (default 1) as the grower hands it a
+    node; None when no split exists."""
+    order = trees.presort(x[:, None])[0]
+    if weights is None:
+        weights = np.ones(x.shape[0], dtype=np.int64)
+    found = trees.best_split(x[order][None], t[order][None],
+                             weights[order][None], decrease)
+    return None if found is None else found[:2]
+
+
 class TestGiniSplits:
     def test_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(33)
@@ -74,7 +86,7 @@ class TestGiniSplits:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)  # force duplicate values
             y = rng.integers(0, 2, size=n)
-            found = trees.best_split(x, y, trees.gini_decrease)
+            found = scan(x, y, trees.gini_decrease)
             expected = gini_oracle(x, y)
             if expected is None:
                 assert found is None
@@ -84,8 +96,8 @@ class TestGiniSplits:
             assert threshold == expected[1]
 
     def test_constant_feature_returns_none(self):
-        assert trees.best_split(np.ones(5), np.array([0, 1, 0, 1, 0]),
-                                trees.gini_decrease) is None
+        assert scan(np.ones(5), np.array([0, 1, 0, 1, 0]),
+                    trees.gini_decrease) is None
 
     def test_depth1_tree_threshold_matches_oracle(self):
         rng = np.random.default_rng(35)
@@ -242,7 +254,7 @@ class TestBoosting:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)
             t = rng.normal(size=n)
-            found = trees.best_split(x, t, trees.sse_decrease)
+            found = scan(x, t, trees.sse_decrease)
             expected = sse_oracle(x, t)
             if expected is None:
                 assert found is None
@@ -384,10 +396,11 @@ def test_splits_match_the_stable_tie_order_bit_for_bit():
         for t, decrease in ((rng.normal(size=2000), trees.sse_decrease),
                             (rng.integers(0, 2, size=2000),
                              trees.gini_decrease)):
-            gains = decrease(t[order], boundaries)
+            gains = decrease(t[order][None],
+                             np.ones((1, 2000), dtype=np.int64))[0, boundaries]
             pos = boundaries[int(np.argmax(gains))]
             expected = (float(gains.max()), (xs[pos] + xs[pos + 1]) / 2.0)
-            assert trees.best_split(x, t, decrease) == expected
+            assert scan(x, t, decrease) == expected
 
 
 # values on a coarse grid, so duplicates and ties are common
@@ -401,7 +414,7 @@ class TestTreeCoreProperties:
     def test_gini_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         y = np.array([label for _, label in pairs])
-        assert_optimal_split(trees.best_split(x, y, trees.gini_decrease),
+        assert_optimal_split(scan(x, y, trees.gini_decrease),
                              x, y, gini_oracle, 1e-12)
 
     @settings(deadline=None)
@@ -410,7 +423,7 @@ class TestTreeCoreProperties:
     def test_sse_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         t = np.array([target / 4.0 for _, target in pairs])
-        assert_optimal_split(trees.best_split(x, t, trees.sse_decrease),
+        assert_optimal_split(scan(x, t, trees.sse_decrease),
                              x, t, sse_oracle, 1e-9)
 
     @settings(deadline=None)
@@ -443,3 +456,89 @@ class TestTreeCoreProperties:
             expected = [walk_oracle(tree, row) for row in rows]
             np.testing.assert_array_equal(trees.predict(tree, rows),
                                           expected)
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(grid_values, st.integers(0, 1),
+                              st.integers(1, 4)), min_size=1, max_size=20))
+    def test_weighted_scan_equals_scan_of_repeated_rows(self, triples):
+        # integer label sums make the gini scan exact; the float sums of
+        # the sse scan only agree with the repeated rows to a tolerance
+        x = np.array([v for v, _, _ in triples])
+        y = np.array([label for _, label, _ in triples])
+        w = np.array([count for _, _, count in triples])
+        assert (scan(x, y, trees.gini_decrease, w)
+                == scan(np.repeat(x, w), np.repeat(y, w),
+                        trees.gini_decrease))
+        t = y * 1.5 - 0.25 * x
+        assert_optimal_split(scan(x, t, trees.sse_decrease, w),
+                             np.repeat(x, w), np.repeat(t, w), sse_oracle,
+                             1e-9)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_distinct_rows_with_weights_grow_the_repeated_rows_tree(
+            self, data):
+        n = data.draw(st.integers(1, 12))
+        d = data.draw(st.integers(1, 4))
+        base = np.array(data.draw(st.lists(
+            grid_values, min_size=n * d, max_size=n * d))).reshape(n, d)
+        labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                             max_size=n)))
+        # repeat some rows, and give one of them the other label as well
+        draws = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=1, max_size=40)))
+        X = np.vstack([base[draws], base[draws[:1]]])
+        y = np.concatenate([labels[draws], 1 - labels[draws[:1]]])
+        pairs, counts = np.unique(np.column_stack([X, y]), axis=0,
+                                  return_counts=True)
+        seed = data.draw(st.integers(0, 2 ** 16))
+        max_depth = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        n_candidates = data.draw(st.integers(1, d))
+
+        repeated_imp, distinct_imp = np.zeros(d), np.zeros(d)
+        repeated = grow_tree(X, y, np.random.default_rng(seed), max_depth,
+                             n_candidates, repeated_imp)
+        distinct = grow_tree(pairs[:, :d], pairs[:, d].astype(int),
+                             np.random.default_rng(seed), max_depth,
+                             n_candidates, distinct_imp, weights=counts)
+        assert distinct == repeated
+        assert distinct_imp.tobytes() == repeated_imp.tobytes()
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_each_split_is_the_stable_scan_of_its_node(self, data):
+        # rows partitioned down from one presort must reach every node in
+        # the order a stable sort of that node alone gives, bit for bit
+        n = data.draw(st.integers(2, 40))
+        d = data.draw(st.integers(1, 3))
+        X = np.array(data.draw(st.lists(grid_values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        targets = np.array(data.draw(st.lists(
+            st.floats(-3, 3, allow_nan=False, allow_subnormal=False),
+            min_size=n, max_size=n)))
+        splits = []
+        tree = trees.grow(X, targets, trees.sse_decrease, None,
+                          lambda: range(d), lambda idx: 0.0,
+                          lambda idx, f, gain: splits.append((idx, f, gain)))
+        inner = [node for node, f in enumerate(tree["feature"]) if f >= 0]
+        assert len(inner) == len(splits)
+        for node, (idx, feature, gain) in zip(inner, splits):
+            assert np.all(np.diff(idx) > 0)
+            best = None
+            for f in range(d):
+                found = scan(X[idx, f], targets[idx], trees.sse_decrease)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], f, found[1])
+            assert best == (gain, feature, tree["threshold"][node])
+
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+                              st.sampled_from([0.0, 1.5]), st.integers(0, 1)),
+                    min_size=1, max_size=30))
+    def test_distinct_pairs_group_bitwise_identical_rows(self, triples):
+        X = np.array([[a, b] for a, b, _ in triples])
+        y = np.array([label for _, _, label in triples])
+        first, pair_of = distinct_pairs(X, y)
+        keys = [(row.tobytes(), label) for row, label in zip(X, y)]
+        assert len(set(keys)) == first.shape[0]
+        assert [keys[i] for i in first[pair_of]] == keys
