@@ -5,6 +5,9 @@ feature selection, and synthetic capture generation.
 Exit codes: 0 success, 2 usage error, 1 runtime error. Every run
 prints its full effective configuration, defaults and seeds included,
 so any report can be reproduced from its own header.
+
+botsift runs on one thread. The `threads` option is still accepted,
+and echoed in the configuration, but it is ignored.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def cmd_train(args) -> int:
     hp = resolved_params(args.model, args.hp, args.seed)
     echo_config(args, {"resolved_hyperparams": hp})
     ds = load_features(args.features)
-    artifact = train_model(args.model, ds, hp, args.threads)
+    artifact = train_model(args.model, ds, hp)
     artifact.save(args.out)
     print(f"trained {args.model} on {ds.n} rows; wrote {args.out}")
     return 0
@@ -136,7 +139,7 @@ def cmd_eval(args) -> int:
                        "resolved_hyperparams": hp})
     ds = load_features(args.features)
     rm = repeated_eval(ds, artifact.family, hp, args.runs, args.seed,
-                       args.train_frac, n_threads=args.threads)
+                       args.train_frac)
     name = dataset_name(ds, args.features)
     title = (f"{artifact.family} on {name}: {args.runs} run(s), "
              f"train fraction {args.train_frac:g}, seed {args.seed}")
@@ -164,8 +167,7 @@ def cmd_sweep(args) -> int:
     echo_config(args, {"grid_points": len(points)})
     ds = load_features(args.features)
     sweep = hyperparam_sweep(ds, args.model, points, args.runs,
-                             args.seed, args.train_frac,
-                             n_threads=args.threads)
+                             args.seed, args.train_frac)
     title = (f"sweep {args.model} on {dataset_name(ds, args.features)}: "
              f"{args.runs} run(s) per point, seed {args.seed}")
     table = reports.sweep_table(sweep, title)
@@ -184,8 +186,7 @@ def cmd_crossscen(args) -> int:
     echo_config(args, {"resolved_hyperparams": hp})
     train_ds = load_features(args.train)
     test_ds = load_features(args.test)
-    metrics = cross_scenario_eval(train_ds, test_ds, args.model, hp,
-                                  args.threads)
+    metrics = cross_scenario_eval(train_ds, test_ds, args.model, hp)
     train_name = dataset_name(train_ds, args.train)
     test_name = dataset_name(test_ds, args.test)
     title = f"{args.model}: train on {train_name}, test on {test_name}"
@@ -204,8 +205,7 @@ def cmd_bootstrap_eval(args) -> int:
     ds = load_features(args.features)
     name = dataset_name(ds, args.features)
     rm = repeated_eval(ds, args.model, hp, args.runs, args.seed,
-                       args.train_frac, bootstrap_factor=args.factor,
-                       n_threads=args.threads)
+                       args.train_frac, bootstrap_factor=args.factor)
     title = (f"{args.model} on {name}: training data x{args.factor}, "
              f"{args.runs} run(s), seed {args.seed}")
     table = reports.eval_table(name, ds, rm, title)
@@ -236,8 +236,7 @@ def cmd_select(args) -> int:
     elif args.method == "backward":
         hp = resolved_params(args.model, args.hp, args.seed)
         trace = selection.backward_elimination(ds, args.model, hp,
-                                               args.seed,
-                                               n_threads=args.threads)
+                                               args.seed)
         table = reports.trace_table(
             trace, f"backward elimination on {name} with {args.model}")
         print(table.to_text(), end="")
@@ -251,7 +250,7 @@ def cmd_select(args) -> int:
         if args.model != "rf":
             raise ValueError("importance selection requires --model rf")
         hp = resolved_params("rf", args.hp, args.seed)
-        artifact = train_model("rf", ds, hp, args.threads)
+        artifact = train_model("rf", ds, hp)
         table = reports.importance_table(
             ds.feature_names,
             artifact.parameters["feature_importances"],
@@ -297,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--threads", type=int,
                        default=os.cpu_count() or 1,
-                       help="worker cap for parallel sections")
+                       help="has no effect: botsift runs on one thread")
 
     p = sub.add_parser("summarize", help="ingest a capture and print "
                                          "per-column statistics")
@@ -377,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic capture")
     p.add_argument("--config", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    add_common(p, model_flag=False, seed=False)
     p.set_defaults(func=cmd_synth)
 
     return parser

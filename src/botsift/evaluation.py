@@ -23,17 +23,15 @@ class Metrics:
     precision: float
     recall: float
     f1: float
-    weighted_accuracy: Optional[float] = None
 
     @property
     def n(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def prf1(y_true, y_pred, class_weights: Optional[dict] = None) -> Metrics:
+def prf1(y_true, y_pred) -> Metrics:
     """Precision/recall/f1 from integer confusion counts; every 0/0
-    ratio is defined as 0. Optional weighted accuracy weights each
-    sample by the class weight of its true label."""
+    ratio is defined as 0."""
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
     if y_true.shape != y_pred.shape:
@@ -48,17 +46,7 @@ def prf1(y_true, y_pred, class_weights: Optional[dict] = None) -> Metrics:
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     denom = precision + recall
     f1 = 2.0 * precision * recall / denom if denom > 0 else 0.0
-
-    weighted_accuracy = None
-    if class_weights is not None:
-        w = np.where(y_true == 1, class_weights.get(1, 1.0),
-                     class_weights.get(0, 1.0))
-        total = float(w.sum())
-        weighted_accuracy = (float(np.sum(w * (y_true == y_pred))) / total
-                             if total > 0 else 0.0)
-
-    return Metrics(tp, fp, fn, tn, precision, recall, f1,
-                   weighted_accuracy)
+    return Metrics(tp, fp, fn, tn, precision, recall, f1)
 
 
 def split_dataset(ds: Dataset, train_frac: float, seed: int):
@@ -103,15 +91,14 @@ class RepeatedMetrics:
 
 def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
                   train_frac: float = 2.0 / 3.0,
-                  bootstrap_factor: Optional[int] = None,
-                  n_threads: int = 1):
+                  bootstrap_factor: Optional[int] = None):
     """One split/train/evaluate pass; returns (train Metrics,
     test Metrics, artifact). Training metrics describe the data the
     model was actually fit to (the resampled set when bootstrapping)."""
     train, test = split_dataset(ds, train_frac, split_seed)
     if bootstrap_factor is not None and bootstrap_factor > 1:
         train = bootstrap_resample(train, bootstrap_factor, split_seed)
-    artifact = train_model(family, train, hp, n_threads)
+    artifact = train_model(family, train, hp)
     _, train_pred = predict(artifact, train.rows)
     _, test_pred = predict(artifact, test.rows)
     return (prf1(train.labels, train_pred), prf1(test.labels, test_pred),
@@ -120,8 +107,7 @@ def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
 
 def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
                   train_frac: float = 2.0 / 3.0,
-                  bootstrap_factor: Optional[int] = None,
-                  n_threads: int = 1) -> RepeatedMetrics:
+                  bootstrap_factor: Optional[int] = None) -> RepeatedMetrics:
     """n_runs independent split/train/test passes; run i uses split
     seed = seed + i."""
     if n_runs < 1:
@@ -130,8 +116,7 @@ def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
     for i in range(n_runs):
         try:
             train_m, test_m, _ = evaluate_once(
-                ds, family, hp, seed + i, train_frac, bootstrap_factor,
-                n_threads)
+                ds, family, hp, seed + i, train_frac, bootstrap_factor)
         except Exception as exc:
             raise RuntimeError(f"run {i} (seed {seed + i}) failed: {exc}"
                                ) from exc
@@ -160,8 +145,7 @@ class SweepResult:
 
 def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
                      n_runs: int, seed: int,
-                     train_frac: float = 2.0 / 3.0,
-                     n_threads: int = 1) -> SweepResult:
+                     train_frac: float = 2.0 / 3.0) -> SweepResult:
     """Evaluates every grid point with repeated_eval; failures are
     recorded and the sweep continues. Best = highest mean test f1,
     first grid point on ties."""
@@ -173,8 +157,7 @@ def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
     for point in grid:
         hp = make_params(family, dict(point))
         try:
-            rm = repeated_eval(ds, family, hp, n_runs, seed, train_frac,
-                               n_threads=n_threads)
+            rm = repeated_eval(ds, family, hp, n_runs, seed, train_frac)
         except Exception as exc:
             entries.append(SweepEntry(dict(point), None, str(exc)))
             continue
@@ -187,11 +170,11 @@ def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
 
 
 def cross_scenario_eval(train_ds: Dataset, test_ds: Dataset, family: str,
-                        hp, n_threads: int = 1) -> Metrics:
+                        hp) -> Metrics:
     """Train on every row of one capture, test on every row of
     another."""
     if list(train_ds.feature_names) != list(test_ds.feature_names):
         raise ValueError("train and test datasets disagree on features")
-    artifact = train_model(family, train_ds, hp, n_threads)
+    artifact = train_model(family, train_ds, hp)
     _, test_pred = predict(artifact, test_ds.rows)
     return prf1(test_ds.labels, test_pred)

@@ -134,7 +134,7 @@ def parse_timestamp(text: str) -> datetime:
         micro = int((frac + "000000")[:6]) if frac else 0
         return datetime(int(year), int(month), int(day),
                         int(hour), int(minute), int(second), micro)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FlowParseError("bad_timestamp", text) from exc
 
 

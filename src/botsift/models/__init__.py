@@ -26,12 +26,11 @@ __all__ = [
 ]
 
 TRAINERS = {
-    "logreg": (LogRegParams, lambda ds, hp, threads: train_logreg(ds, hp)),
-    "svm": (SvmParams, lambda ds, hp, threads: train_svm(ds, hp)),
-    "rf": (ForestParams,
-           lambda ds, hp, threads: train_random_forest(ds, hp, threads)),
-    "gboost": (BoostingParams, lambda ds, hp, threads: train_boosting(ds, hp)),
-    "nn": (NnParams, lambda ds, hp, threads: train_nn(ds, hp)),
+    "logreg": (LogRegParams, train_logreg),
+    "svm": (SvmParams, train_svm),
+    "rf": (ForestParams, train_random_forest),
+    "gboost": (BoostingParams, train_boosting),
+    "nn": (NnParams, train_nn),
 }
 
 _SCORERS = {
@@ -43,12 +42,11 @@ _SCORERS = {
 }
 
 
-def train_model(family: str, ds: Dataset, hp, n_threads: int = 1
-                ) -> ModelArtifact:
+def train_model(family: str, ds: Dataset, hp) -> ModelArtifact:
     if family not in TRAINERS:
         raise ValueError(f"unknown model family {family!r}")
     _, trainer = TRAINERS[family]
-    return trainer(ds, hp, n_threads)
+    return trainer(ds, hp)
 
 
 def make_params(family: str, overrides: dict):

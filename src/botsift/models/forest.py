@@ -12,7 +12,6 @@ weighted by the number of times its bootstrap sample drew it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,8 +85,7 @@ def distinct_pairs(X: np.ndarray, y: np.ndarray):
     return order[starts], pair_of
 
 
-def train_random_forest(ds: Dataset, hp: ForestParams,
-                        n_threads: int = 1) -> ModelArtifact:
+def train_random_forest(ds: Dataset, hp: ForestParams) -> ModelArtifact:
     if ds.n == 0:
         raise ValueError("cannot train a forest on an empty dataset")
     n, d = ds.rows.shape
@@ -107,12 +105,7 @@ def train_random_forest(ds: Dataset, hp: ForestParams,
                          importances, weights, order)
         return tree, importances
 
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one_tree, range(hp.n_trees)))
-    else:
-        results = [one_tree(t) for t in range(hp.n_trees)]
-
+    results = [one_tree(t) for t in range(hp.n_trees)]
     forest = [tree for tree, _ in results]
     importances = np.sum([imp for _, imp in results], axis=0)
     total = importances.sum()

@@ -65,15 +65,22 @@ def best_split(xs: np.ndarray, ts: np.ndarray, ws: np.ndarray, decrease):
     whose rows each hold one feature's values `xs` in ascending order,
     with the targets `ts` and positive integer weights `ws` of the same
     rows in the same order. Thresholds are midpoints between consecutive
-    distinct values; ties keep the lowest block row, then the lowest
+    distinct values, or the lower value where the midpoint does not lie
+    below the upper one; ties keep the lowest block row, then the lowest
     threshold. None when every row of `xs` is constant."""
     boundary = xs[:, 1:] > xs[:, :-1]  # split after position i
     if not boundary.any():
         return None
     gains = np.where(boundary, decrease(ts, ws), -np.inf)
     row, pos = divmod(int(np.argmax(gains)), gains.shape[1])
-    threshold = (xs[row, pos] + xs[row, pos + 1]) / 2.0
-    return float(gains[row, pos]), float(threshold), row
+    lower, upper = float(xs[row, pos]), float(xs[row, pos + 1])
+    threshold = (lower + upper) / 2.0
+    if not lower <= threshold < upper:
+        # the midpoint rounded up to `upper`, or overflowed to +-inf or
+        # nan, and would send every row to one side: a node that never
+        # shrinks. scikit-learn's splitter falls back to `lower` too.
+        threshold = lower
+    return float(gains[row, pos]), threshold, row
 
 
 def presort(X: np.ndarray) -> np.ndarray:

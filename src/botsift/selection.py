@@ -140,34 +140,23 @@ class SelectionTrace:
     steps: list = field(default_factory=list)
 
 
-def _subset_f1(ds: Dataset, names, train_idx, test_idx, family, hp,
-               n_threads: int) -> float:
-    sub = ds.select_features(list(names))
-    train = sub.subset(train_idx)
-    test = sub.subset(test_idx)
-    artifact = train_model(family, train, hp, n_threads)
-    _, pred = predict(artifact, test.rows)
+def _subset_f1(train: Dataset, test: Dataset, names, family, hp) -> float:
+    artifact = train_model(family, train.select_features(names), hp)
+    _, pred = predict(artifact, test.select_features(names).rows)
     return prf1(test.labels, pred).f1
 
 
 def backward_elimination(ds: Dataset, family: str, hp, seed: int,
-                         train_frac: float = 2.0 / 3.0,
-                         n_threads: int = 1) -> SelectionTrace:
+                         train_frac: float = 2.0 / 3.0) -> SelectionTrace:
     """Starting from all features, repeatedly remove the feature whose
     removal maximizes held-out f1 on one fixed split; stop when no
     removal maintains or improves the incumbent f1 or one feature
     remains. Ties remove the lowest-index feature."""
-    perm = np.random.default_rng(seed).permutation(ds.n)
-    n_train = int(train_frac * ds.n)
-    if n_train == 0 or n_train == ds.n:
-        raise ValueError("dataset too small for the elimination split")
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
+    train, test = split_dataset(ds, train_frac, seed)
 
     current = list(ds.feature_names)
     try:
-        incumbent = _subset_f1(ds, current, train_idx, test_idx, family,
-                               hp, n_threads)
+        incumbent = _subset_f1(train, test, current, family, hp)
     except Exception as exc:
         raise RuntimeError(f"initial fit on all features failed: {exc}"
                            ) from exc
@@ -181,8 +170,7 @@ def backward_elimination(ds: Dataset, family: str, hp, seed: int,
         for name in current:  # ascending canonical order; ties keep first
             candidate = [nm for nm in current if nm != name]
             try:
-                f1 = _subset_f1(ds, candidate, train_idx, test_idx,
-                                family, hp, n_threads)
+                f1 = _subset_f1(train, test, candidate, family, hp)
             except Exception as exc:
                 raise RuntimeError(
                     f"step {len(trace.steps)}: removing {name!r} failed: "

@@ -99,7 +99,9 @@ class Dataset:
 
     def select_features(self, names) -> "Dataset":
         idx = [self.feature_names.index(name) for name in names]
-        return Dataset(self.rows[:, idx], self.labels, list(names),
+        # take() keeps the result C-ordered for any input layout, so
+        # float reductions over it do not depend on how it was sliced
+        return Dataset(self.rows.take(idx, axis=1), self.labels, list(names),
                        dict(self.meta))
 
 
@@ -120,17 +122,6 @@ def resolve_origin(table: FlowTable, cfg: WindowConfig) -> datetime:
     if not table.records:
         raise ValueError("cannot derive a window origin from an empty table")
     return min(r.start_time for r in table.records)
-
-
-def assign_windows(table: FlowTable, cfg: WindowConfig) -> dict:
-    """Map window index -> indices into table.records, by start time only."""
-    origin = resolve_origin(table, cfg)
-    windows = defaultdict(list)
-    for i, record in enumerate(table.records):
-        t = (record.start_time - origin).total_seconds()
-        for k in window_span_indices(t, cfg):
-            windows[k].append(i)
-    return dict(windows)
 
 
 def normalized_entropy(category_counts: Iterable[int]) -> float:
@@ -251,26 +242,43 @@ def write_features(ds: Dataset, path):
 
 
 def load_features(path) -> Dataset:
-    """Read a feature CSV written by write_features."""
+    """Read a feature CSV written by write_features. A row whose cell
+    count differs from the header's, or whose features are not all
+    finite numbers, is a ValueError naming its line."""
     path = Path(path)
     scenario = None
+    header_lines = 1
     with path.open(newline="") as handle:
         first = handle.readline()
         if first.startswith("# scenario="):
             scenario = first[len("# scenario="):].rstrip("\n")
             first = handle.readline()
+            header_lines += 1
         header = next(csv.reader([first]))
         if header[:3] != ["window_index", "src_addr", "label"]:
             raise ValueError(f"{path}: not a feature CSV")
         names = header[3:]
-        keys, labels, rows = [], [], []
-        for row in csv.reader(handle):
+        keys, labels, rows, lines = [], [], [], []
+        reader = csv.reader(handle)
+        for row in reader:
             if not row:
                 continue
-            keys.append((int(row[0]), row[1]))
-            labels.append(int(row[2]))
-            rows.append([float(v) for v in row[3:]])
+            lines.append(header_lines + reader.line_num)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has "
+                                     f"{len(header)}")
+                keys.append((int(row[0]), row[1]))
+                labels.append(int(row[2]))
+                rows.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lines[-1]}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no feature rows")
+    rows = np.array(rows)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = lines[int(np.argmin(finite))]
+        raise ValueError(f"{path} line {bad}: non-finite feature value")
     meta = {"scenario": scenario, "row_keys": keys}
-    return Dataset(np.array(rows), np.array(labels), names, meta)
+    return Dataset(rows, np.array(labels), names, meta)

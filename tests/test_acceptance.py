@@ -284,7 +284,7 @@ def test_criterion_07_synthetic_end_to_end():
     assert 0.2 <= permille <= 3.0
 
     rm = repeated_eval(ds, "rf", ForestParams(n_trees=100), n_runs=10,
-                       seed=100, n_threads=THREADS)
+                       seed=100)
     mean_f1 = rm.summary("test")["f1"][0]
     assert mean_f1 >= 0.95
     verdict(7, "synthetic end-to-end", t0, 120.0,
@@ -303,8 +303,7 @@ def test_criterion_08_bootstrap_direction():
     summaries = {}
     for factor in (None, 10, 30):
         rm = repeated_eval(ds, "rf", ForestParams(n_trees=100), n_runs=10,
-                           seed=300, bootstrap_factor=factor,
-                           n_threads=THREADS)
+                           seed=300, bootstrap_factor=factor)
         summaries[factor] = rm.summary("test")
     base_r = summaries[None]["recall"][0]
     x10_r = summaries[10]["recall"][0]
@@ -357,8 +356,7 @@ def test_criterion_10_capture_reproduction():
     t0 = time.monotonic()
     _, test_m, _ = evaluate_once(ds, "rf", ForestParams(n_trees=100,
                                                         seed=42),
-                                 split_seed=42, train_frac=2.0 / 3.0,
-                                 n_threads=THREADS)
+                                 split_seed=42, train_frac=2.0 / 3.0)
     assert test_m.precision >= 0.97
     assert test_m.recall >= 0.90
     assert test_m.f1 >= 0.94

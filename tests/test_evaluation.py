@@ -66,13 +66,6 @@ class TestPrf1:
         assert m.recall == 1.0
         assert m.precision == 0.5
 
-    def test_weighted_accuracy_hand_computed(self):
-        m = prf1([1, 1, 0, 0], [1, 0, 1, 0],
-                 class_weights={1: 1.0, 0: 0.044})
-        expected = (1.0 + 0.044) / (2 * 1.0 + 2 * 0.044)
-        assert abs(m.weighted_accuracy - expected) < 1e-15
-        assert prf1([1, 0], [1, 0]).weighted_accuracy is None
-
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError):
             prf1([1, 0], [1])

@@ -6,6 +6,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from botsift.flows import (ABSENT, CANONICAL_COLUMNS, FlowParseError,
                            FlowRecord, FlowTable, ParseStats,
@@ -105,6 +107,42 @@ def test_short_row_rejected():
     with pytest.raises(FlowParseError) as err:
         parse_flow_record(["2011/08/10 09:46:53", "1"], HEADER_MAP)
     assert err.value.reason == "short_row"
+
+
+REASONS = {
+    "short_row", "bad_timestamp", "bad_duration", "negative_duration",
+    "missing_src_addr", "missing_dst_addr", "bad_packet_count",
+    "negative_packet_count", "bad_byte_count", "negative_byte_count",
+    "src_bytes_exceed_total", "bad_label", "bad_tos",
+}
+
+huge_ints = st.integers(10**19, 10**30) | st.integers(-10**30, -10**19)
+hostile_cells = (
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "-1e400", "-0", "",
+                     " ", "0x10", "1_0"])
+    | huge_ints.map(str)
+    | st.floats().map(repr)
+    | st.text(max_size=6)
+)
+hostile_timestamps = st.builds(
+    "{}/{}/{} {}:{}:{}.{}".format,
+    *[st.integers(-10**21, 10**21) | st.integers(0, 60)] * 6,
+    st.text("0123456789", max_size=8),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(st.sampled_from(CANONICAL_COLUMNS),
+                       hostile_cells | hostile_timestamps))
+@example({"StartTime": "99999999999999999999/01/01 00:00:00"})
+@example({"StartTime": "2011/08/10 99999999999999999999:00:00"})
+def test_parse_flow_record_is_total(replaced):
+    # every row either parses or is rejected with a known reason code;
+    # nothing else may escape and abort a load
+    try:
+        parse(**replaced)
+    except FlowParseError as exc:
+        assert exc.reason in REASONS
 
 
 def test_header_map_requires_canonical_columns():

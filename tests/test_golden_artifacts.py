@@ -32,14 +32,15 @@ GOLDEN = {
         loss="deviance", n_trees=10, max_depth=3)),
 }
 
-# (family, hyperparameters, training threads)
+# rf_x10_threads2 was saved by a forest that grew its trees on two
+# threads; a single-threaded training must match it bit for bit too
 GOLDEN_V2 = {
-    "rf_x10": ("rf", ForestParams(n_trees=8, seed=11), 1),
-    "rf_x10_threads2": ("rf", ForestParams(n_trees=8, seed=11), 2),
+    "rf_x10": ("rf", ForestParams(n_trees=8, seed=11)),
+    "rf_x10_threads2": ("rf", ForestParams(n_trees=8, seed=11)),
     "gboost_exponential_x10": ("gboost", BoostingParams(
-        loss="exponential", n_trees=10, max_depth=3), 1),
+        loss="exponential", n_trees=10, max_depth=3)),
     "gboost_deviance_x10": ("gboost", BoostingParams(
-        loss="deviance", n_trees=10, max_depth=3), 1),
+        loss="deviance", n_trees=10, max_depth=3)),
 }
 
 
@@ -82,12 +83,11 @@ def test_v1_artifact_equals_fresh_training(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_V2))
 def test_v2_artifact_equals_fresh_training(name):
-    family, hp, n_threads = GOLDEN_V2[name]
+    family, hp = GOLDEN_V2[name]
     ds = bootstrapped_dataset()
     path = DATA / f"golden_v2_{name}.json"
     assert json.loads(path.read_text())["format_version"] == 2
-    assert_same_model(load_artifact(path),
-                      train_model(family, ds, hp, n_threads), ds)
+    assert_same_model(load_artifact(path), train_model(family, ds, hp), ds)
 
 
 def test_conflict_dataset_repeats_rows_with_both_labels():

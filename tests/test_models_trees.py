@@ -1,7 +1,9 @@
 """Random forest and gradient boosting against brute-force split
 oracles, a closed-form stump, and structural invariants."""
 
+import contextlib
 import gc
+import signal
 
 import numpy as np
 import pytest
@@ -185,13 +187,6 @@ class TestForest:
             np.testing.assert_array_equal(
                 trees.predict(base, X), trees.predict(lifted, transformed))
 
-    def test_thread_count_does_not_change_the_artifact(self):
-        ds = self.separable(seed=16)
-        hp = ForestParams(n_trees=12, seed=3)
-        solo = train_random_forest(ds, hp, n_threads=1)
-        pooled = train_random_forest(ds, hp, n_threads=4)
-        assert solo.to_json() == pooled.to_json()
-
     def test_training_leaves_no_reference_cycles(self):
         # a cycle would keep each tree's bootstrap copy of the training
         # rows alive until the cyclic collector happens to run
@@ -199,8 +194,7 @@ class TestForest:
         gc.collect()
         gc.disable()
         try:
-            train_random_forest(ds, ForestParams(n_trees=5, seed=6),
-                                n_threads=1)
+            train_random_forest(ds, ForestParams(n_trees=5, seed=6))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -237,6 +231,39 @@ class TestForest:
                            depth(tree, tree["right"][node]))
 
         assert all(depth(t) <= 1 for t in artifact.parameters["trees"])
+
+    @pytest.mark.parametrize("column", [
+        [0.0, np.inf],
+        [1.0000000000000002, 1.0000000000000004],  # midpoint rounds up
+        [1e308, 1.7e308],                          # midpoint overflows
+        [-np.inf, np.inf],                         # midpoint is nan
+    ])
+    def test_every_split_separates_its_rows(self, column):
+        # a threshold that sends both rows one way leaves the child the
+        # same node as its parent, so an unbounded tree never stops
+        X = np.array(column)[:, None]
+        y = np.array([0, 1])
+        with time_limit(5.0):
+            tree = grow_tree(X, y, np.random.default_rng(0), None, 1,
+                             np.zeros(1))
+        assert tree["feature"] == [0, -1, -1]
+        assert tree["threshold"][0] == column[0]
+        np.testing.assert_array_equal(trees.predict(tree, X), y)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def step_data(n=40):

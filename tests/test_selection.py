@@ -205,17 +205,39 @@ def test_backward_elimination_first_step_matches_exhaustive_scan():
 
     def subset_f1(names):
         sub = ds.select_features(names)
-        artifact = train_model("logreg", sub.subset(train_idx), hp, 1)
+        artifact = train_model("logreg", sub.subset(train_idx), hp)
         _, pred = predict(artifact, sub.subset(test_idx).rows)
         return prf1(sub.subset(test_idx).labels, pred).f1
 
-    scores = [subset_f1([nm for nm in ds.feature_names if nm != name])
-              for name in ds.feature_names]
-    best = max(scores)
-    expected_first = ds.feature_names[scores.index(best)]
-    if best >= subset_f1(list(ds.feature_names)) and len(trace.steps) > 1:
-        assert trace.steps[1].removed_feature == expected_first
-        assert trace.steps[1].f1 == best
+    # replay the greedy path step by step; every f1 must match exactly
+    current = list(ds.feature_names)
+    expected = [(current, subset_f1(current), None)]
+    while len(current) > 1:
+        scores = [subset_f1([nm for nm in current if nm != name])
+                  for name in current]
+        best = max(scores)
+        if best < expected[-1][1]:
+            break
+        removed = current[scores.index(best)]
+        current = [nm for nm in current if nm != removed]
+        expected.append((current, best, removed))
+    assert len(expected) > 1
+    assert [(step.feature_subset, step.f1, step.removed_feature)
+            for step in trace.steps] == expected
+
+
+def test_feature_subset_of_a_split_trains_like_a_split_of_the_subset():
+    # backward elimination splits once and selects features per fit; the
+    # fits must equal those on the split of the selected features, which
+    # float reductions only give when both arrays share one memory layout
+    ds = elimination_fixture(seed=44)
+    rows = np.sort(np.random.default_rng(2).permutation(ds.n)[:160])
+    names = ["noise2", "signal"]
+    hp = LogRegParams(max_iter=50)
+    split_first = ds.subset(rows).select_features(names)
+    select_first = ds.select_features(names).subset(rows)
+    assert (train_model("logreg", split_first, hp).to_json()
+            == train_model("logreg", select_first, hp).to_json())
 
 
 def test_backward_elimination_single_feature_stops_immediately():

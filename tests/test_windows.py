@@ -8,7 +8,7 @@ import pytest
 
 from botsift.flows import FlowRecord, FlowTable, ParseStats
 from botsift.windows import (FEATURE_NAMES, Dataset, WindowConfig,
-                             WindowGroup, assign_windows, build_dataset,
+                             WindowGroup, build_dataset,
                              extract_features, label_group, load_features,
                              normalized_entropy, resolve_origin,
                              window_span_indices, write_features)
@@ -72,8 +72,11 @@ def test_resolve_origin_earliest_start():
 
 def test_assign_windows_membership():
     t = table([flow(offset=0.0), flow(offset=150.0)])
-    windows = assign_windows(t, DEFAULTS)
-    assert windows == {0: [0], 1: [1], 2: [1]}
+    ds = build_dataset(t, DEFAULTS)
+    assert ds.meta["row_keys"] == [(0, "10.0.0.1"), (1, "10.0.0.1"),
+                                   (2, "10.0.0.1")]
+    counts = ds.rows[:, FEATURE_NAMES.index("counts")]
+    np.testing.assert_array_equal(counts, [1.0, 1.0, 1.0])
 
 
 def test_entropy_pinned_examples():
@@ -272,3 +275,27 @@ def test_feature_csv_without_scenario_comment(tmp_path):
     loaded = load_features(path)
     assert loaded.meta["scenario"] is None
     assert loaded.n == 1
+
+
+def test_load_features_rejects_non_finite_values(tmp_path):
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS,
+                       scenario="s")
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0] + ",inf"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"line 4: non-finite"):
+        load_features(path)
+
+
+def test_load_features_rejects_ragged_rows(tmp_path):
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS)
+    ds.meta["scenario"] = None
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"line 3: 24 cells"):
+        load_features(path)
