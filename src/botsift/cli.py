@@ -294,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="hyperparameter override, repeatable")
         if seed:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int,
-                       default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=int, default=1,
                        help="has no effect: botsift runs on one thread")
 
     p = sub.add_parser("summarize", help="ingest a capture and print "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .flows import ABSENT, FlowRecord, FlowTable
+from .flows import ABSENT, FlowTable
 
 FEATURE_NAMES = (
     "counts",
@@ -49,23 +48,6 @@ class WindowConfig:
             raise ValueError(
                 f"need 0 < stride <= width, got stride={self.stride} "
                 f"width={self.width}")
-
-
-@dataclass
-class WindowGroup:
-    """Flows of one source address inside one window."""
-
-    window_index: int
-    src_addr: str
-    members: list
-
-
-@dataclass
-class FeatureRow:
-    window_index: int
-    src_addr: str
-    label: Optional[int]
-    features: np.ndarray
 
 
 @dataclass
@@ -105,15 +87,30 @@ class Dataset:
                        dict(self.meta))
 
 
-def window_span_indices(t: float, cfg: WindowConfig) -> list:
-    """All window indices k >= 0 with k*stride <= t < k*stride + width."""
-    k_max = math.floor(t / cfg.stride)
-    k_min = math.floor((t - cfg.width) / cfg.stride) + 1
-    # Widen by one and re-check so float rounding in the division can never
-    # disagree with the interval definition.
-    lo = max(0, k_min - 1)
-    return [k for k in range(lo, k_max + 2)
-            if k * cfg.stride <= t < k * cfg.stride + cfg.width]
+def window_spans(t: np.ndarray, cfg: WindowConfig) -> tuple:
+    """(flow positions, window indices) of all pairs with k >= 0 and
+    k*stride <= t[i] < k*stride + width. Candidates reach one window past
+    each end the divisions give, so their rounding can never drop one;
+    the interval test decides. Memory grows with the pairs emitted."""
+    first = np.maximum(np.floor((t - cfg.width) / cfg.stride), 0)
+    offsets = range(int(np.max(np.floor(t / cfg.stride) + 1 - first,
+                               initial=0)) + 1)
+
+    def inside(offset):
+        start = (first + offset) * cfg.stride
+        return (start <= t) & (t < start + cfg.width)
+
+    # count first, so that the two results are the only arrays as long as
+    # the pair count
+    total = sum(int(np.count_nonzero(inside(o))) for o in offsets)
+    flows, windows = np.empty(total, np.int32), np.empty(total, np.int64)
+    end = 0
+    for offset in offsets:
+        hit = np.flatnonzero(inside(offset))
+        flows[end:end + len(hit)] = hit
+        windows[end:end + len(hit)] = first[hit] + offset
+        end += len(hit)
+    return flows, windows
 
 
 def resolve_origin(table: FlowTable, cfg: WindowConfig) -> datetime:
@@ -144,83 +141,103 @@ def normalized_entropy(category_counts: Iterable[int]) -> float:
     return min(entropy / math.log(m), 1.0)
 
 
-def _numeric_block(values: np.ndarray) -> tuple:
-    return (
-        float(values.sum()),
-        float(values.mean()),
-        float(values.std()),
-        float(values.max()),
-        float(np.median(values)),
-    )
+def _codes(records: list, attr: str) -> tuple:
+    """The distinct values of one flow attribute in sorted order, an empty
+    one as ABSENT, and each flow's int32 position among them."""
+    names = sorted({getattr(r, attr) or ABSENT for r in records})
+    index = {name: i for i, name in enumerate(names)}
+    return names, np.fromiter((index[getattr(r, attr) or ABSENT]
+                               for r in records), np.int32, len(records))
 
 
-def _categorical_counts(members, attr: str) -> Counter:
-    return Counter(getattr(r, attr) or ABSENT for r in members)
+def _category_features(block: np.ndarray) -> tuple:
+    """Distinct-value count and normalized entropy of each row of a
+    (groups, size) block of category codes, members in file order.
 
-
-def extract_features(group: WindowGroup) -> FeatureRow:
-    """The 22-feature vector of one window group (label left unset)."""
-    members = group.members
-    if not members:
-        raise ValueError("cannot extract features from an empty group")
-
-    sport = _categorical_counts(members, "sport")
-    dst = _categorical_counts(members, "dst_addr")
-    dport = _categorical_counts(members, "dport")
-
-    dur = np.fromiter((r.dur for r in members), float, len(members))
-    tot_bytes = np.fromiter((r.tot_bytes for r in members), float, len(members))
-    src_bytes = np.fromiter((r.src_bytes for r in members), float, len(members))
-
-    features = np.array(
-        (float(len(members)), float(len(sport)), float(len(dst)),
-         float(len(dport)))
-        + _numeric_block(dur)
-        + _numeric_block(tot_bytes)
-        + _numeric_block(src_bytes)
-        + (normalized_entropy(sport.values()),
-           normalized_entropy(dst.values()),
-           normalized_entropy(dport.values())),
-        dtype=float,
-    )
-    return FeatureRow(group.window_index, group.src_addr, None, features)
-
-
-def label_group(group: WindowGroup) -> int:
-    """1 iff any member flow carries the botnet marker in its label."""
-    return int(any(BOTNET_MARKER in r.label for r in group.members))
+    A stable sort of each row puts each category's first member at the
+    head of its run; ordering the runs by that member gives the counts in
+    order of first appearance, the order in which the entropy adds them.
+    """
+    size = block.shape[1]
+    order = np.argsort(block, axis=1, kind="stable")
+    ranked = np.take_along_axis(block, order, axis=1)
+    head = np.ones(block.shape, dtype=bool)
+    head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    heads = np.flatnonzero(head)  # each row opens a run: none spans rows
+    first = heads - heads % size + order.ravel()[heads]
+    counts = np.diff(heads, append=block.size)[np.argsort(first)].tolist()
+    nunique = head.sum(axis=1)
+    entropy = np.zeros(len(block))
+    multi = np.flatnonzero(nunique > 1)
+    ends = np.cumsum(nunique)[multi]
+    for g, start, end in zip(multi.tolist(), (ends - nunique[multi]).tolist(),
+                             ends.tolist()):
+        entropy[g] = normalized_entropy(counts[start:end])
+    return nunique, entropy
 
 
 def build_dataset(table: FlowTable, cfg: WindowConfig,
                   scenario: str = None) -> Dataset:
-    """One labeled feature row per nonempty (window, source address) pair.
-
-    Rows are ordered by window index, then source address, so output is
-    deterministic regardless of grouping order.
-    """
-    if not table.records:
+    """One labeled feature row per nonempty (window, source address) pair,
+    ordered by window, then source, each group's flows in file order.
+    Groups of one size are stacked into a (groups, size) block and reduced
+    along its rows, which gives the bits of reducing each group alone."""
+    records = table.records
+    if not records:
         raise ValueError("cannot build a dataset from an empty table")
     origin = resolve_origin(table, cfg)
+    n = len(records)
+    flow, window = window_spans(np.fromiter(
+        ((r.start_time - origin).total_seconds() for r in records), float,
+        n), cfg)
+    src_names, src = _codes(records, "src_addr")
+    # one int per (window, source) pair, in the pairs' order
+    key = window * len(src_names) + src[flow]
+    del window, src
+    order = np.lexsort((flow, key))
+    flow, key = flow[order], key[order]
+    del order
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key, sizes = key[starts], np.diff(starts, append=len(flow))
 
-    groups = defaultdict(list)
-    for record in table.records:
-        t = (record.start_time - origin).total_seconds()
-        for k in window_span_indices(t, cfg):
-            groups[(k, record.src_addr)].append(record)
+    # One flow attribute is extracted at a time, and each bucket's block
+    # is gathered from it when needed, so that the working set stays small
+    # next to the feature matrix.
+    rows = np.empty((len(starts), len(FEATURE_NAMES)))
+    rows[:, 0] = sizes
+    by_size = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[by_size])) + 1
+    buckets = np.split(by_size, cuts) if len(starts) else []
 
-    keys = sorted(groups)
-    rows = np.empty((len(keys), len(FEATURE_NAMES)), dtype=float)
-    labels = np.empty(len(keys), dtype=int)
-    for i, key in enumerate(keys):
-        group = WindowGroup(key[0], key[1], groups[key])
-        rows[i] = extract_features(group).features
-        labels[i] = label_group(group)
+    def blocks(column):
+        for bucket in buckets:
+            members = starts[bucket, None] + np.arange(sizes[bucket[0]])
+            yield bucket, column[flow[members]]
 
+    labels = np.zeros(len(starts), dtype=bool)
+    for bucket, block in blocks(np.fromiter(
+            (BOTNET_MARKER in r.label for r in records), bool, n)):
+        labels[bucket] = block.any(axis=1)
+    for i, attr in enumerate(("sport", "dst_addr", "dport")):
+        _, codes = _codes(records, attr)
+        for bucket, block in blocks(codes):
+            rows[bucket, 1 + i], rows[bucket, 19 + i] = _category_features(
+                block)
+    for col, attr in zip((4, 9, 14), ("dur", "tot_bytes", "src_bytes")):
+        values = np.fromiter((getattr(r, attr) for r in records), float, n)
+        for bucket, block in blocks(values):
+            for j, reduce in enumerate((np.sum, np.mean, np.std, np.max,
+                                        np.median)):
+                rows[bucket, col + j] = reduce(block, axis=1)
+    del flow, starts, by_size, buckets, codes, values
+
+    windows, sources = np.divmod(key, len(src_names))
     meta = {
         "scenario": scenario or table.source_path,
         "window": {"width": cfg.width, "stride": cfg.stride,
                    "origin": origin.isoformat()},
-        "row_keys": keys,
+        "row_keys": list(zip(windows.tolist(),
+                             map(src_names.__getitem__, sources.tolist()))),
     }
     return Dataset(rows, labels, list(FEATURE_NAMES), meta)
 
@@ -243,8 +260,9 @@ def write_features(ds: Dataset, path):
 
 def load_features(path) -> Dataset:
     """Read a feature CSV written by write_features. A row whose cell
-    count differs from the header's, or whose features are not all
-    finite numbers, is a ValueError naming its line."""
+    count differs from the header's, whose label is not 0 or 1, or whose
+    features are not all finite numbers, is a ValueError naming its
+    line."""
     path = Path(path)
     scenario = None
     header_lines = 1
@@ -270,6 +288,8 @@ def load_features(path) -> Dataset:
                                      f"{len(header)}")
                 keys.append((int(row[0]), row[1]))
                 labels.append(int(row[2]))
+                if labels[-1] not in (0, 1):
+                    raise ValueError(f"label {row[2]} is not 0 or 1")
                 rows.append([float(v) for v in row[3:]])
             except ValueError as exc:
                 raise ValueError(f"{path} line {lines[-1]}: {exc}") from None

@@ -29,7 +29,7 @@ from botsift.models.nn import (bce_from_logits, forward_backward,
 from botsift.selection import pca
 from botsift.synth import SynthConfig, generate_scenario
 from botsift.windows import (Dataset, WindowConfig, build_dataset,
-                             normalized_entropy, window_span_indices)
+                             normalized_entropy, window_spans)
 
 CTU_ENV = "CTU13_SCENARIO1"
 THREADS = min(4, os.cpu_count() or 1)
@@ -137,8 +137,12 @@ def test_criterion_04_window_membership():
     cfg = WindowConfig()
     rng = np.random.default_rng(4)
     offsets = rng.uniform(0.0, 36_000.0, 10_000)
-    for t in offsets.tolist():
-        spans = window_span_indices(t, cfg)
+    flows, windows = window_spans(offsets, cfg)
+    per_flow = [[] for _ in offsets]
+    for i, k in zip(flows.tolist(), windows.tolist()):
+        per_flow[i].append(k)
+    for t, spans in zip(offsets.tolist(), per_flow):
+        spans = sorted(spans)
         ks = np.arange(0, int(t // cfg.stride) + 2)
         inside = (ks * cfg.stride <= t) & (t < ks * cfg.stride + cfg.width)
         assert spans == ks[inside].tolist()

@@ -106,6 +106,25 @@ class TestSummarize:
         assert "proto: " in out
 
 
+@pytest.mark.parametrize("command", ["summarize", "train"])
+def test_report_does_not_depend_on_cpu_count(command, flows_csv,
+                                             tiny_features_csv, tmp_path,
+                                             capsys, monkeypatch):
+    """The default of the ignored --threads option is the same on every
+    machine, so the echoed configuration is too."""
+    argv = {"summarize": ["summarize", str(flows_csv)],
+            "train": ["train", str(tiny_features_csv), "--model", "logreg",
+                      "-o", str(tmp_path / "m.json")]}[command]
+    outputs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    if command == "train":
+        assert "threads = 1" in outputs[0]
+
+
 class TestExtract:
     def test_defaults_echoed_and_file_written(self, flows_csv, tmp_path,
                                               capsys):

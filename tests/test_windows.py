@@ -1,19 +1,25 @@
 """Window assignment, entropy, feature extraction, and dataset plumbing."""
 
+import json
 import math
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from botsift.flows import FlowRecord, FlowTable, ParseStats
+import window_oracle
+from botsift.cli import main
+from botsift.flows import ABSENT, FlowRecord, FlowTable, ParseStats
 from botsift.windows import (FEATURE_NAMES, Dataset, WindowConfig,
-                             WindowGroup, build_dataset,
-                             extract_features, label_group, load_features,
+                             build_dataset, load_features,
                              normalized_entropy, resolve_origin,
-                             window_span_indices, write_features)
+                             window_spans, write_features)
 
 T0 = datetime(2011, 8, 10, 9, 0, 0)
+DATA = Path(__file__).parent / "data"
 
 
 def flow(offset=0.0, src="10.0.0.1", dst="10.0.0.2", sport="1024",
@@ -34,11 +40,25 @@ def table(records):
 DEFAULTS = WindowConfig()
 
 
+def spans_per_flow(t, cfg) -> list:
+    """window_spans' pairs as one ascending window list per flow."""
+    flows, windows = window_spans(np.asarray(t, dtype=float), cfg)
+    per_flow = [[] for _ in range(len(t))]
+    for i, k in zip(flows.tolist(), windows.tolist()):
+        per_flow[i].append(k)
+    return [sorted(ks) for ks in per_flow]
+
+
+def one_window_row(members) -> dict:
+    """Features of a one-source table whose flows all fall in window 0."""
+    ds = build_dataset(table(members), DEFAULTS)
+    assert ds.meta["row_keys"] == [(0, members[0].src_addr)]
+    return dict(zip(FEATURE_NAMES, ds.rows[0]))
+
+
 def test_span_examples():
-    assert window_span_indices(150.0, DEFAULTS) == [1, 2]
-    assert window_span_indices(0.0, DEFAULTS) == [0]
-    assert window_span_indices(59.9, DEFAULTS) == [0]
-    assert window_span_indices(60.0, DEFAULTS) == [0, 1]
+    assert spans_per_flow([150.0, 0.0, 59.9, 60.0], DEFAULTS) == [
+        [1, 2], [0], [0], [0, 1]]
 
 
 def test_span_matches_interval_definition():
@@ -47,13 +67,19 @@ def test_span_matches_interval_definition():
             WindowConfig(width=100.0, stride=30.0)]
     for cfg in cfgs:
         per_flow = math.ceil(cfg.width / cfg.stride)
-        for t in rng.uniform(0, 5000, 2000):
-            spans = window_span_indices(float(t), cfg)
+        offsets = rng.uniform(0, 5000, 2000)
+        for t, spans in zip(offsets, spans_per_flow(offsets, cfg)):
             assert 1 <= len(spans) <= per_flow
             hi = int(t // cfg.stride) + 2
             expected = [k for k in range(hi + 1)
                         if k * cfg.stride <= t < k * cfg.stride + cfg.width]
             assert spans == expected
+
+
+def test_span_drops_flows_before_the_origin():
+    assert spans_per_flow([-0.5, -200.0, 0.0], DEFAULTS) == [[], [], [0]]
+    flows, windows = window_spans(np.empty(0), DEFAULTS)
+    assert flows.size == windows.size == 0
 
 
 def test_window_config_validation():
@@ -112,10 +138,7 @@ def test_entropy_errors():
 
 
 def test_extract_features_singleton():
-    group = WindowGroup(0, "10.0.0.1",
-                        [flow(dur=2.0, tot_bytes=100, src_bytes=40)])
-    row = extract_features(group)
-    f = dict(zip(FEATURE_NAMES, row.features))
+    f = one_window_row([flow(dur=2.0, tot_bytes=100, src_bytes=40)])
     assert f["counts"] == 1
     assert f["Sport_nunique"] == f["DstAddr_nunique"] == f["Dport_nunique"] == 1
     assert [f["Dur_sum"], f["Dur_mean"], f["Dur_std"], f["Dur_max"],
@@ -128,59 +151,62 @@ def test_extract_features_singleton():
 
 
 def test_extract_features_two_flows_hand_computed():
-    group = WindowGroup(0, "10.0.0.1", [
-        flow(dport="53", dur=1.0), flow(dport="80", dur=3.0)])
-    row = extract_features(group)
-    f = dict(zip(FEATURE_NAMES, row.features))
+    f = one_window_row([flow(dport="53", dur=1.0),
+                        flow(dport="80", dur=3.0)])
     assert f["Dport_nunique"] == 2
     assert f["Dport_RU"] == 1.0
     # population std of {1, 3} is 1
     assert [f["Dur_sum"], f["Dur_mean"], f["Dur_std"], f["Dur_max"],
             f["Dur_median"]] == [4, 2, 1, 3, 2]
-    assert len(row.features) == 22
+    assert len(f) == 22
 
 
 def test_extract_features_absent_is_a_category():
-    group = WindowGroup(0, "10.0.0.1", [
-        flow(sport=None), flow(sport="1024")])
-    f = dict(zip(FEATURE_NAMES, extract_features(group).features))
+    f = one_window_row([flow(sport=None), flow(sport="1024")])
     assert f["Sport_nunique"] == 2
     assert f["Sport_RU"] == 1.0
+    # an empty cell and a literal absent marker are the same category
+    f = one_window_row([flow(sport=None), flow(sport=ABSENT)])
+    assert f["Sport_nunique"] == 1
+    assert f["Sport_RU"] == 0.0
 
 
 def test_extract_features_permutation_invariant():
     members = [flow(offset=i, dur=float(i), dport=str(i % 3),
                     tot_bytes=100 + i) for i in range(9)]
-    a = extract_features(WindowGroup(0, "s", members)).features
-    b = extract_features(WindowGroup(0, "s", members[::-1])).features
-    np.testing.assert_array_equal(a, b)
+    a = one_window_row(members)
+    b = one_window_row(members[::-1])
+    assert a == b
 
 
 def test_extract_features_duration_scale_property():
-    members = [flow(dur=d, dport=str(i)) for i, d in
-               enumerate([0.5, 2.0, 7.25, 1.0])]
-    base = extract_features(WindowGroup(0, "s", members)).features
-    scaled_members = [flow(dur=d * 3.0, dport=str(i)) for i, d in
-                      enumerate([0.5, 2.0, 7.25, 1.0])]
-    scaled = extract_features(WindowGroup(0, "s", scaled_members)).features
-    dur_idx = [FEATURE_NAMES.index(n) for n in
-               ("Dur_sum", "Dur_mean", "Dur_std", "Dur_max", "Dur_median")]
-    for i in range(22):
-        if i in dur_idx:
-            assert math.isclose(scaled[i], base[i] * 3.0, rel_tol=1e-12)
+    base = one_window_row([flow(dur=d, dport=str(i)) for i, d in
+                           enumerate([0.5, 2.0, 7.25, 1.0])])
+    scaled = one_window_row([flow(dur=d * 3.0, dport=str(i)) for i, d in
+                             enumerate([0.5, 2.0, 7.25, 1.0])])
+    dur_names = ("Dur_sum", "Dur_mean", "Dur_std", "Dur_max", "Dur_median")
+    for name in FEATURE_NAMES:
+        if name in dur_names:
+            assert math.isclose(scaled[name], base[name] * 3.0,
+                                rel_tol=1e-12)
         else:
-            assert scaled[i] == base[i]
+            assert scaled[name] == base[name]
 
 
 def test_label_group_rules():
+    def label(*members):
+        ds = build_dataset(table(list(members)), DEFAULTS)
+        assert ds.n == 1
+        return int(ds.labels[0])
+
     botnet = flow(label="flow=From-Botnet-V42-UDP-DNS")
     background = flow(label="flow=Background-UDP")
     normal = flow(label="flow=Normal-V42")
-    assert label_group(WindowGroup(0, "s", [background, botnet])) == 1
-    assert label_group(WindowGroup(0, "s", [normal, background])) == 0
-    assert label_group(WindowGroup(0, "s", [flow(label="")])) == 0
+    assert label(background, botnet) == 1
+    assert label(normal, background) == 0
+    assert label(flow(label="")) == 0
     # marker is case sensitive
-    assert label_group(WindowGroup(0, "s", [flow(label="flow=botnet")])) == 0
+    assert label(flow(label="flow=botnet")) == 0
 
 
 def test_build_dataset_rows_and_order():
@@ -222,6 +248,90 @@ def test_build_dataset_disjoint_hour_apart():
 def test_build_dataset_empty_table_errors():
     with pytest.raises(ValueError):
         build_dataset(table([]), DEFAULTS)
+
+
+def test_build_dataset_origin_after_every_flow_is_empty():
+    records = [flow(offset=float(i)) for i in range(5)]
+    cfg = WindowConfig(origin=T0 + timedelta(seconds=1000))
+    ds = build_dataset(table(records), cfg)
+    assert ds.rows.shape == (0, len(FEATURE_NAMES))
+    assert ds.labels.shape == (0,)
+    assert ds.meta["row_keys"] == []
+    assert ds.meta["window"]["origin"] == cfg.origin.isoformat()
+
+
+PORTS = (None, ABSENT, "53", "80", "443", "1024", "6667")
+ADDRS = ("10.0.0.1", "10.0.0.2", "147.32.84.165", "192.168.1.9")
+LABELS = ("flow=Background", "flow=Normal-V42", "flow=From-Botnet-V42",
+          "flow=From-Botnet-V42-TCP-CC1", "")
+
+
+@st.composite
+def flow_tables(draw):
+    """Random tables: up to a few hundred flows over few sources, so that
+    group sizes span 1 to about 300; timestamps on a coarse grid, so that
+    many coincide; optional ports empty or the literal absent marker."""
+    n = draw(st.integers(1, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_src = draw(st.integers(1, 4))
+    grid = draw(st.sampled_from([0.5, 1.0, 0.001]))
+    span = draw(st.sampled_from([2.0, 60.0, 400.0, 3000.0]))
+    offsets = np.round(rng.uniform(0, span, n) / grid) * grid
+    labels = LABELS if draw(st.booleans()) else LABELS[:2]
+    records = []
+    for i in range(n):
+        tot = int(rng.choice([0, 60, 1500, int(rng.integers(0, 10**9))]))
+        records.append(FlowRecord(
+            start_time=T0 + timedelta(microseconds=round(offsets[i] * 1e6)),
+            dur=float(rng.choice([0.0, 1.5, rng.exponential(20.0)])),
+            proto="tcp", src_addr=ADDRS[int(rng.integers(n_src))],
+            sport=PORTS[int(rng.integers(len(PORTS)))], dir="->",
+            dst_addr=ADDRS[int(rng.integers(len(ADDRS)))],
+            dport=PORTS[int(rng.integers(len(PORTS)))], state=None,
+            s_tos=None, d_tos=None, tot_pkts=1, tot_bytes=tot,
+            src_bytes=int(rng.integers(0, tot + 1)),
+            label=labels[int(rng.integers(len(labels)))]))
+    width = draw(st.floats(0.5, 300.0))
+    ratio = draw(st.one_of(st.just(1.0), st.just(0.5), st.just(1 / 3),
+                           st.floats(0.05, 1.0)))
+    origin = draw(st.one_of(
+        st.none(),
+        st.floats(-500.0, span + 100.0).map(
+            lambda s: T0 + timedelta(microseconds=round(s * 1e6)))))
+    cfg = WindowConfig(width=width, stride=width * ratio, origin=origin)
+    return table(records), cfg
+
+
+@settings(deadline=None, max_examples=60)
+@given(flow_tables())
+def test_build_dataset_matches_per_group_oracle(case):
+    t, cfg = case
+    ds = build_dataset(t, cfg, scenario="s")
+    expected = window_oracle.build_dataset(t, cfg, scenario="s")
+    assert ds.rows.tobytes() == expected.rows.tobytes()
+    assert ds.labels.tolist() == expected.labels.tolist()
+    assert ds.meta == expected.meta
+
+
+# `botsift synth` settings of the capture behind the golden feature files
+GOLDEN_SYNTH = {"n_background_flows": 2000, "n_background_sources": 20,
+                "n_botnet_sources": 3, "botnet_flow_rate": 2.0,
+                "duration": 1200.0, "botnet_behavior": "port-scan",
+                "burst_size": 5, "noise": 0.1, "seed": 7}
+
+
+@pytest.mark.parametrize("stride", ["60", "45"])
+def test_extract_reproduces_golden_feature_files(tmp_path, stride):
+    config = tmp_path / "synth.json"
+    config.write_text(json.dumps(GOLDEN_SYNTH))
+    flows_csv = tmp_path / "flows.csv"
+    out = tmp_path / "features.csv"
+    assert main(["synth", "--config", str(config), "-o",
+                 str(flows_csv)]) == 0
+    assert main(["extract", str(flows_csv), "--width", "120", "--stride",
+                 stride, "--scenario", "golden", "-o", str(out)]) == 0
+    golden = DATA / f"golden_features_w120_s{stride}.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_dataset_validation_and_subset():
@@ -298,4 +408,19 @@ def test_load_features_rejects_ragged_rows(tmp_path):
     lines[2] = lines[2].rsplit(",", 1)[0]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"line 3: 24 cells"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("label", ["7", "-1", "2"])
+def test_load_features_rejects_labels_outside_0_1(tmp_path, label):
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS,
+                       scenario="s")
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2] = label
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"line 4: label {label} "):
         load_features(path)

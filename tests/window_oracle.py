@@ -1,0 +1,71 @@
+"""Reference windowing for tests: one (window, source) group at a time.
+
+This is the straightforward version of `botsift.windows.build_dataset`:
+each flow is placed in its windows by the interval definition, grouped
+in a dict, and every group is reduced with its own numpy and `Counter`
+calls. The program's size-bucketed path must reproduce it bit for bit.
+"""
+
+import math
+from collections import Counter, defaultdict
+
+import numpy as np
+
+from botsift.flows import ABSENT
+from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, Dataset,
+                             normalized_entropy, resolve_origin)
+
+
+def window_span_indices(t: float, cfg) -> list:
+    """All window indices k >= 0 with k*stride <= t < k*stride + width."""
+    k_max = math.floor(t / cfg.stride)
+    k_min = math.floor((t - cfg.width) / cfg.stride) + 1
+    lo = max(0, k_min - 1)
+    return [k for k in range(lo, k_max + 2)
+            if k * cfg.stride <= t < k * cfg.stride + cfg.width]
+
+
+def _numeric_block(values: np.ndarray) -> tuple:
+    return (float(values.sum()), float(values.mean()), float(values.std()),
+            float(values.max()), float(np.median(values)))
+
+
+def extract_features(members: list) -> np.ndarray:
+    """The 22-feature vector of one group's flows, in file order."""
+    cats = [Counter(getattr(r, attr) or ABSENT for r in members)
+            for attr in ("sport", "dst_addr", "dport")]
+    nums = [np.fromiter((getattr(r, attr) for r in members), float,
+                        len(members))
+            for attr in ("dur", "tot_bytes", "src_bytes")]
+    return np.array(
+        (float(len(members)),) + tuple(float(len(c)) for c in cats)
+        + sum((_numeric_block(v) for v in nums), ())
+        + tuple(normalized_entropy(c.values()) for c in cats),
+        dtype=float)
+
+
+def label_group(members: list) -> int:
+    """1 iff any member flow carries the botnet marker in its label."""
+    return int(any(BOTNET_MARKER in r.label for r in members))
+
+
+def build_dataset(table, cfg, scenario=None) -> Dataset:
+    origin = resolve_origin(table, cfg)
+    groups = defaultdict(list)
+    for record in table.records:
+        t = (record.start_time - origin).total_seconds()
+        for k in window_span_indices(t, cfg):
+            groups[(k, record.src_addr)].append(record)
+    keys = sorted(groups)
+    rows = np.empty((len(keys), len(FEATURE_NAMES)))
+    labels = np.empty(len(keys), dtype=int)
+    for i, key in enumerate(keys):
+        rows[i] = extract_features(groups[key])
+        labels[i] = label_group(groups[key])
+    meta = {
+        "scenario": scenario or table.source_path,
+        "window": {"width": cfg.width, "stride": cfg.stride,
+                   "origin": origin.isoformat()},
+        "row_keys": keys,
+    }
+    return Dataset(rows, labels, list(FEATURE_NAMES), meta)
