@@ -272,10 +272,10 @@ def cmd_synth(args) -> int:
     cfg = synth.load_synth_config(args.config)
     echo_config(args, {"resolved_config": cfg})
     table = synth.generate_scenario(cfg)
-    flows.write_flow_csv(table.records, args.out)
-    botnet = sum(1 for r in table.records
-                 if windows.BOTNET_MARKER in r.label)
-    print(f"generated {len(table.records)} flows "
+    flows.write_flow_csv(table, args.out)
+    botnet = int(table.label.matches(
+        lambda label: windows.BOTNET_MARKER in label).sum())
+    print(f"generated {len(table)} flows "
           f"({botnet} botnet); wrote {args.out}")
     return 0
 

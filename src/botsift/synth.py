@@ -222,4 +222,4 @@ def generate_scenario(cfg: SynthConfig) -> FlowTable:
 
     flows.sort(key=lambda r: (r.start_time, r.src_addr, r.dst_addr,
                               r.dport or "", r.sport or ""))
-    return FlowTable(records=flows, source_path=None, parse_stats=None)
+    return FlowTable.from_records(flows)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .flows import ABSENT, FlowTable
+from .flows import FlowTable
 
 FEATURE_NAMES = (
     "counts",
@@ -116,9 +116,9 @@ def window_spans(t: np.ndarray, cfg: WindowConfig) -> tuple:
 def resolve_origin(table: FlowTable, cfg: WindowConfig) -> datetime:
     if cfg.origin is not None:
         return cfg.origin
-    if not table.records:
+    if not len(table):
         raise ValueError("cannot derive a window origin from an empty table")
-    return min(r.start_time for r in table.records)
+    return table.start()
 
 
 def normalized_entropy(category_counts: Iterable[int]) -> float:
@@ -139,15 +139,6 @@ def normalized_entropy(category_counts: Iterable[int]) -> float:
     # the ratio is bounded by [0, 1] mathematically; uniform counts can
     # land one ulp above 1 in float arithmetic
     return min(entropy / math.log(m), 1.0)
-
-
-def _codes(records: list, attr: str) -> tuple:
-    """The distinct values of one flow attribute in sorted order, an empty
-    one as ABSENT, and each flow's int32 position among them."""
-    names = sorted({getattr(r, attr) or ABSENT for r in records})
-    index = {name: i for i, name in enumerate(names)}
-    return names, np.fromiter((index[getattr(r, attr) or ABSENT]
-                               for r in records), np.int32, len(records))
 
 
 def _category_features(block: np.ndarray) -> tuple:
@@ -182,15 +173,11 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
     ordered by window, then source, each group's flows in file order.
     Groups of one size are stacked into a (groups, size) block and reduced
     along its rows, which gives the bits of reducing each group alone."""
-    records = table.records
-    if not records:
+    if not len(table):
         raise ValueError("cannot build a dataset from an empty table")
     origin = resolve_origin(table, cfg)
-    n = len(records)
-    flow, window = window_spans(np.fromiter(
-        ((r.start_time - origin).total_seconds() for r in records), float,
-        n), cfg)
-    src_names, src = _codes(records, "src_addr")
+    flow, window = window_spans(table.seconds_after(origin), cfg)
+    src_names, src = table.src_addr.values, table.src_addr.codes
     # one int per (window, source) pair, in the pairs' order
     key = window * len(src_names) + src[flow]
     del window, src
@@ -215,21 +202,19 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
             yield bucket, column[flow[members]]
 
     labels = np.zeros(len(starts), dtype=bool)
-    for bucket, block in blocks(np.fromiter(
-            (BOTNET_MARKER in r.label for r in records), bool, n)):
+    for bucket, block in blocks(table.label.matches(
+            lambda label: BOTNET_MARKER in label)):
         labels[bucket] = block.any(axis=1)
     for i, attr in enumerate(("sport", "dst_addr", "dport")):
-        _, codes = _codes(records, attr)
-        for bucket, block in blocks(codes):
+        for bucket, block in blocks(getattr(table, attr).codes):
             rows[bucket, 1 + i], rows[bucket, 19 + i] = _category_features(
                 block)
     for col, attr in zip((4, 9, 14), ("dur", "tot_bytes", "src_bytes")):
-        values = np.fromiter((getattr(r, attr) for r in records), float, n)
-        for bucket, block in blocks(values):
+        for bucket, block in blocks(getattr(table, attr)):
             for j, reduce in enumerate((np.sum, np.mean, np.std, np.max,
                                         np.median)):
                 rows[bucket, col + j] = reduce(block, axis=1)
-    del flow, starts, by_size, buckets, codes, values
+    del flow, starts, by_size, buckets
 
     windows, sources = np.divmod(key, len(src_names))
     meta = {

@@ -282,7 +282,7 @@ def test_criterion_07_synthetic_end_to_end():
                       duration=7200.0, botnet_behavior="port-scan",
                       burst_size=5, noise=0.0, seed=11)
     table = generate_scenario(cfg)
-    assert 49_000 <= len(table.records) <= 52_000
+    assert 49_000 <= len(table) <= 52_000
     ds = build_dataset(table, WindowConfig())
     permille = 1000.0 * float(ds.labels.mean())
     assert 0.2 <= permille <= 3.0
@@ -292,7 +292,7 @@ def test_criterion_07_synthetic_end_to_end():
     mean_f1 = rm.summary("test")["f1"][0]
     assert mean_f1 >= 0.95
     verdict(7, "synthetic end-to-end", t0, 120.0,
-            f"{len(table.records)} flows, {permille:.2f} permille botnet "
+            f"{len(table)} flows, {permille:.2f} permille botnet "
             f"rows, mean f1 {mean_f1:.4f}")
 
 

@@ -20,7 +20,7 @@ def flows_csv(tmp_path_factory):
     cfg = SynthConfig(n_background_flows=1500, n_background_sources=15,
                       n_botnet_sources=2, botnet_flow_rate=3.0,
                       duration=1200.0, seed=5)
-    write_flow_csv(generate_scenario(cfg).records, path)
+    write_flow_csv(generate_scenario(cfg), path)
     return path
 
 

@@ -1,20 +1,23 @@
 """Flow CSV parsing, rejection accounting, round-trips, and summaries."""
 
 import csv
+import io
 import math
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from botsift.flows import (ABSENT, CANONICAL_COLUMNS, FlowParseError,
-                           FlowRecord, FlowTable, ParseStats,
+import flow_oracle
+from botsift.flows import (ABSENT, CANONICAL_COLUMNS, CHUNK_ROWS,
+                           FlowParseError, FlowRecord, FlowTable, ParseStats,
                            build_header_map, format_timestamp,
                            load_scenario, parse_flow_record,
-                           parse_timestamp, serialize_flow_record,
-                           summarize, write_flow_csv)
+                           parse_timestamp, summarize, write_flow_csv)
 
 HEADER_MAP = build_header_map(CANONICAL_COLUMNS)
 
@@ -113,7 +116,7 @@ REASONS = {
     "short_row", "bad_timestamp", "bad_duration", "negative_duration",
     "missing_src_addr", "missing_dst_addr", "bad_packet_count",
     "negative_packet_count", "bad_byte_count", "negative_byte_count",
-    "src_bytes_exceed_total", "bad_label", "bad_tos",
+    "src_bytes_exceed_total", "bad_label", "bad_tos", "bad_encoding",
 }
 
 huge_ints = st.integers(10**19, 10**30) | st.integers(-10**30, -10**19)
@@ -171,7 +174,7 @@ def test_load_scenario_counts_accepted_and_rejected(tmp_path):
     assert table.parse_stats.accepted == 2
     assert table.parse_stats.rejected == 1
     assert table.parse_stats.reason_counts["negative_duration"] == 1
-    assert len(table.records) == 2
+    assert len(table) == 2
 
 
 def test_load_scenario_counts_infinite_cells(tmp_path):
@@ -191,7 +194,7 @@ def test_load_scenario_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_capture(path, [])
     table = load_scenario(path)
-    assert len(table.records) == 0
+    assert len(table) == 0
     assert table.parse_stats.rejected == 0
 
 
@@ -203,9 +206,175 @@ def test_load_scenario_missing_column_is_fatal(tmp_path):
         load_scenario(path)
 
 
+def test_load_scenario_unreadable_header_is_a_value_error(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_text("StartTime," + "x" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="header"):
+        load_scenario(path)
+
+
 def test_load_scenario_missing_file_is_fatal(tmp_path):
     with pytest.raises(OSError):
         load_scenario(tmp_path / "nope.csv")
+
+
+def test_load_scenario_counts_a_cell_longer_than_the_csv_limit(tmp_path):
+    path = tmp_path / "long.csv"
+    write_capture(path, [make_row(), make_row(Label="flow=" + "x" * 200_000),
+                         make_row()])
+    stats = load_scenario(path).parse_stats
+    assert (stats.accepted, stats.rejected) == (2, 1)
+    assert stats.samples == [(2, "cell_too_long")]
+
+
+def test_load_scenario_counts_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bytes.csv"
+    # a lone surrogate is written as the byte it escapes: 0xff here
+    with open(path, "w", newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CANONICAL_COLUMNS)
+        writer.writerows([make_row(), make_row(SrcAddr="10.0.0.\udcff"),
+                          make_row(Label="flow=Normal-\u00e9")])
+    table = load_scenario(path)
+    assert table.parse_stats.accepted == 2
+    assert table.parse_stats.samples == [(2, "bad_encoding")]
+    assert "flow=Normal-\u00e9" in table.label.values
+
+
+def test_write_flow_csv_writes_utf8(tmp_path):
+    path = tmp_path / "utf8.csv"
+    write_flow_csv(FlowTable.from_records([parse(Label="flow=Normal-\u00e9")]),
+                   path)
+    assert "flow=Normal-\u00e9".encode() in path.read_bytes()
+
+
+# Cells that the column decoder must take or leave exactly as
+# parse_flow_record does; "\udcff" is written as the byte 0xff.
+STAMP_CELLS = [
+    "2011/08/10 09:46:53.047277", "2011/08/10 09:46:53",
+    "2011/08/10 09:46:53.5", "2011/08/10 09:46:53.1234567",
+    " 2011/08/10 09:46:53.047277", "2011/08/10 09:46:53.04727 ",
+    "2012/02/29 23:59:59.999999", "2011/02/29 12:00:00.000000",
+    "1900/02/29 00:00:00.000000", "2000/02/29 00:00:00.000000",
+    "2011/04/31 00:00:00.000000", "2011/13/01 00:00:00.000000",
+    "2011/00/10 00:00:00.000000", "2011/08/00 00:00:00.000000",
+    "0000/01/01 00:00:00.000000", "0001/01/01 00:00:00.000000",
+    "9999/12/31 23:59:59.999999", "1969/12/31 23:59:59.999999",
+    "2011/08/10 24:00:00.000000", "2011/08/10 09:60:00.000000",
+    "2011/08/10 09:46:60.000000", "2011-08-10 09:46:53.047277",
+    "2011/08/10T09:46:53.047277", "２011/08/10 09:46:53.047277",
+    "2011/08/10 09:46:53.04727x", "+011/08/10 09:46:53.047277",
+    "2011/08/10 09:46:53,047277", "2011/08/10 09:46:5\udcff.047277", "",
+]
+NUMBER_CELLS = [
+    "0", "-0", "-0.0", "0.5", "-0.5", "0.9", "1", "1.9", "-1", "12", " 7 ",
+    "1_000", "2.5e3", "inf", "-inf", "nan", "1e400", "-1e400", "1e19",
+    "9223372036854775807", "9223372036854775808", "18446744073709551616",
+    "", "x", "١٢", "1\udcff",
+]
+TEXT_CELLS = ["", " ", "tcp", " TCP ", ABSENT, "a,b", 'q"uote', "a\nb",
+              "c\r\nd", "é", "x\udcffy", "10.0.0.1", "0", " 1 ", "1.9",
+              "-0", "1e400", "nan", "2e19", "a\x00", "a"]
+LABEL_CELLS = ["flow=Background", " flow=From-Botnet-V42 ", "", "Background",
+               "flow=é", "flow=a,b", "flow=x\udcff"]
+CATALOGUE = {column: {"StartTime": STAMP_CELLS, "Dur": NUMBER_CELLS,
+                      "TotPkts": NUMBER_CELLS, "TotBytes": NUMBER_CELLS,
+                      "SrcBytes": NUMBER_CELLS,
+                      "Label": LABEL_CELLS}.get(column, TEXT_CELLS)
+             for column in CANONICAL_COLUMNS}
+CELLS = {column: st.sampled_from(cells) for column, cells in CATALOGUE.items()}
+CELLS["StartTime"] |= st.datetimes().map(format_timestamp)
+for column in ("Dur", "TotPkts", "TotBytes", "SrcBytes"):
+    CELLS[column] |= (st.integers(-3, 2**70).map(str)
+                      | st.floats().map(repr))
+# a hostile row replaces one or two cells of a valid row, so that a single
+# bad cell decides whether it is accepted
+ROW_KINDS = (
+    st.lists(st.sampled_from(CANONICAL_COLUMNS), min_size=1, max_size=2,
+             unique=True).flatmap(lambda columns: st.fixed_dictionaries(
+                 {c: CELLS[c] for c in columns})).map(
+                     lambda cells: ("row", cells))
+    | st.tuples(st.just("short"), st.integers(0, 15))
+    | st.sampled_from([("blank", None), ("long", None)])
+)
+
+
+def filler_row(i: int) -> dict:
+    return dict(zip(CANONICAL_COLUMNS, make_row(
+        StartTime=f"2011/08/10 09:{i // 600 % 60:02d}:{i // 10 % 60:02d}"
+                  f".{i * 7919 % 10**6:06d}",
+        SrcAddr=f"10.0.{i % 5}.1", Sport=str(1024 + i),
+        TotBytes=str(100 + i), SrcBytes=str(i % 100))))
+
+
+def capture_text(header: list, kinds: list, extra: str, end: str) -> str:
+    """Rows of kind ("row", replaced cells), ("short", cell count),
+    ("blank", None) or ("long", None), the i-th built on filler_row(i)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    writer.writerow(header)
+    for i, (kind, arg) in enumerate(kinds):
+        cells = {**filler_row(i), "Extra": extra}
+        if kind == "blank":
+            out.write(end)
+            continue
+        if kind == "row":
+            cells.update(arg)
+        if kind == "long":
+            cells["Label"] = "flow=" + "x" * 140_000
+        row = [cells[name] for name in header]
+        writer.writerow(row[:arg] if kind == "short" else row)
+    return out.getvalue()
+
+
+def assert_matches_oracle(path: Path, text: str):
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
+    table, expected = load_scenario(path), flow_oracle.load(path)
+    assert table.parse_stats == expected.parse_stats
+    flow_oracle.assert_same_columns(table, expected)
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_load_scenario_matches_per_row_oracle_on_each_hostile_cell(
+        tmp_path, end):
+    # each catalogued cell alone in a valid row, then valid rows with new
+    # source ports past the first chunk
+    kinds = [("row", {column: cell}) for column, cells in CATALOGUE.items()
+             for cell in cells]
+    kinds += [("short", k) for k in range(16)] + [("blank", None),
+                                                  ("long", None)]
+    kinds += [("row", {})] * (CHUNK_ROWS + 100 - len(kinds))
+    header = ["Extra", *CANONICAL_COLUMNS]
+    assert_matches_oracle(tmp_path / "catalogue.csv",
+                          capture_text(header, kinds, "x\udcffy", end))
+
+
+@st.composite
+def hostile_captures(draw) -> str:
+    """A capture as text: canonical columns in any order, maybe an extra
+    one, any line ending, and a few hostile rows among valid ones,
+    sometimes around the first chunk boundary."""
+    header = list(draw(st.permutations(CANONICAL_COLUMNS)))
+    if draw(st.booleans()):
+        header.insert(draw(st.integers(0, len(header))), "Extra")
+    extra = draw(st.sampled_from(["7", "", "x\udcffy", "a,b"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    n = draw(st.integers(0, 30) | st.integers(CHUNK_ROWS - 2, CHUNK_ROWS + 2))
+    kinds = [("row", {})] * n
+    at = st.integers(0, max(n - 1, 0)) | st.integers(CHUNK_ROWS - 3,
+                                                     CHUNK_ROWS + 1)
+    for i, kind in draw(st.lists(st.tuples(at, ROW_KINDS), max_size=25)):
+        if i < n:
+            kinds[i] = kind
+    return capture_text(header, kinds, extra, end)
+
+
+@settings(deadline=None, max_examples=150)
+@given(hostile_captures())
+def test_load_scenario_matches_per_row_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_matches_oracle(Path(tmp) / "capture.csv", text)
 
 
 def test_round_trip_preserves_records(tmp_path):
@@ -216,21 +385,24 @@ def test_round_trip_preserves_records(tmp_path):
         parse(StartTime="2011/08/10 09:46:53.1234567"),
     ]
     path = tmp_path / "roundtrip.csv"
-    write_flow_csv(originals, path)
+    write_flow_csv(FlowTable.from_records(originals), path)
     table = load_scenario(path)
     assert table.parse_stats.rejected == 0
-    assert table.records == originals
+    assert flow_oracle.records(table) == originals
 
 
-def test_serialize_uses_exact_duration():
+def test_serialize_uses_exact_duration(tmp_path):
     rec = parse(Dur="0.1")
-    cells = serialize_flow_record(rec)
+    path = tmp_path / "dur.csv"
+    write_flow_csv(FlowTable.from_records([rec]), path)
+    with open(path, newline="") as fh:
+        cells = list(csv.reader(fh))[1]
     assert float(cells[1]) == rec.dur
 
 
 def make_table(records):
-    return FlowTable(records=records, source_path="test",
-                     parse_stats=ParseStats(accepted=len(records)))
+    return FlowTable.from_records(records, "test",
+                                  ParseStats(accepted=len(records)))
 
 
 def test_summarize_single_record():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import flow_oracle
 from botsift.flows import load_scenario, write_flow_csv
 from botsift.synth import (BASE_TIME, SynthConfig, generate_scenario,
                            load_synth_config)
@@ -56,14 +57,14 @@ class TestGenerate:
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = SynthConfig(**SMALL, seed=5)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_flow_csv(generate_scenario(cfg).records, a)
-        write_flow_csv(generate_scenario(cfg).records, b)
+        write_flow_csv(generate_scenario(cfg), a)
+        write_flow_csv(generate_scenario(cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_flow_csv(generate_scenario(SynthConfig(**SMALL, seed=1)).records, a)
-        write_flow_csv(generate_scenario(SynthConfig(**SMALL, seed=2)).records, b)
+        write_flow_csv(generate_scenario(SynthConfig(**SMALL, seed=1)), a)
+        write_flow_csv(generate_scenario(SynthConfig(**SMALL, seed=2)), b)
         assert a.read_bytes() != b.read_bytes()
 
     def test_botnet_flow_count_near_expected(self):
@@ -71,15 +72,16 @@ class TestGenerate:
                           n_botnet_sources=3, botnet_flow_rate=2.0,
                           duration=3600.0, seed=7)
         table = generate_scenario(cfg)
-        botnet = sum("Botnet" in r.label for r in table.records)
+        botnet = sum("Botnet" in r.label for r in flow_oracle.records(table))
         expected = 3 * round(2.0 * 3600.0 / 60.0)
         assert abs(botnet - expected) <= 0.2 * expected
-        assert len(table.records) == 5000 + botnet
+        assert len(table) == 5000 + botnet
 
     def test_noise_keeps_botnet_label(self):
         cfg = SynthConfig(**SMALL, noise=0.5, seed=11)
         table = generate_scenario(cfg)
-        botnet = [r for r in table.records if "Botnet" in r.label]
+        botnet = [r for r in flow_oracle.records(table)
+                  if "Botnet" in r.label]
         probes = [r for r in botnet if r.state == "S_RA" and r.tot_pkts == 1]
         # noise flows mimic background but stay labeled as botnet traffic
         assert 0 < len(probes) < len(botnet)
@@ -89,13 +91,14 @@ class TestGenerate:
     def test_zero_botnet_sources(self):
         cfg = SynthConfig(**{**SMALL, "n_botnet_sources": 0}, seed=3)
         table = generate_scenario(cfg)
-        assert len(table.records) == SMALL["n_background_flows"]
-        assert not any("Botnet" in r.label for r in table.records)
+        assert len(table) == SMALL["n_background_flows"]
+        assert not any("Botnet" in r.label
+                       for r in flow_oracle.records(table))
 
     def test_records_sorted_and_in_range(self):
         cfg = SynthConfig(**SMALL, seed=13)
         table = generate_scenario(cfg)
-        times = [r.start_time for r in table.records]
+        times = [r.start_time for r in flow_oracle.records(table)]
         assert times == sorted(times)
         span = (times[-1] - BASE_TIME).total_seconds()
         assert times[0] >= BASE_TIME
@@ -103,7 +106,7 @@ class TestGenerate:
 
     def test_portscan_probe_shape(self):
         cfg = SynthConfig(**SMALL, seed=17)
-        probes = [r for r in generate_scenario(cfg).records
+        probes = [r for r in flow_oracle.records(generate_scenario(cfg))
                   if "Botnet" in r.label]
         assert probes
         for r in probes:
@@ -115,7 +118,7 @@ class TestGenerate:
 
     def test_beacon_shape(self):
         cfg = SynthConfig(**SMALL, botnet_behavior="beacon", seed=19)
-        beacons = [r for r in generate_scenario(cfg).records
+        beacons = [r for r in flow_oracle.records(generate_scenario(cfg))
                    if "Botnet" in r.label]
         assert beacons
         for r in beacons:
@@ -127,11 +130,11 @@ class TestGenerate:
         cfg = SynthConfig(**SMALL, seed=23)
         table = generate_scenario(cfg)
         path = tmp_path / "synth.csv"
-        write_flow_csv(table.records, path)
+        write_flow_csv(table, path)
         loaded = load_scenario(path)
         assert loaded.parse_stats.rejected == 0
-        assert loaded.parse_stats.accepted == len(table.records)
-        assert loaded.records == table.records
+        assert loaded.parse_stats.accepted == len(table)
+        flow_oracle.assert_same_columns(loaded, table)
 
 
 class TestSeparability:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -33,8 +34,8 @@ def flow(offset=0.0, src="10.0.0.1", dst="10.0.0.2", sport="1024",
 
 
 def table(records):
-    return FlowTable(records=records, source_path="mem",
-                     parse_stats=ParseStats(accepted=len(records)))
+    return FlowTable.from_records(records, "mem",
+                                  ParseStats(accepted=len(records)))
 
 
 DEFAULTS = WindowConfig()
@@ -80,6 +81,15 @@ def test_span_drops_flows_before_the_origin():
     assert spans_per_flow([-0.5, -200.0, 0.0], DEFAULTS) == [[], [], [0]]
     flows, windows = window_spans(np.empty(0), DEFAULTS)
     assert flows.size == windows.size == 0
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.datetimes(), min_size=1, max_size=20), st.datetimes())
+def test_offsets_from_microseconds_equal_total_seconds(starts, origin):
+    # any two datetimes, so differences run far past 2**53 microseconds
+    starts_table = table([replace(flow(), start_time=s) for s in starts])
+    assert starts_table.seconds_after(origin).tolist() == [
+        (s - origin).total_seconds() for s in starts]
 
 
 def test_window_config_validation():

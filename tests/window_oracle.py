@@ -3,7 +3,9 @@
 This is the straightforward version of `botsift.windows.build_dataset`:
 each flow is placed in its windows by the interval definition, grouped
 in a dict, and every group is reduced with its own numpy and `Counter`
-calls. The program's size-bucketed path must reproduce it bit for bit.
+calls. Flows are read back from the table's columns as FlowRecords, and
+their offsets come from datetime arithmetic. The program's size-bucketed
+path must reproduce it bit for bit.
 """
 
 import math
@@ -11,6 +13,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+import flow_oracle
 from botsift.flows import ABSENT
 from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, Dataset,
                              normalized_entropy, resolve_origin)
@@ -52,7 +55,7 @@ def label_group(members: list) -> int:
 def build_dataset(table, cfg, scenario=None) -> Dataset:
     origin = resolve_origin(table, cfg)
     groups = defaultdict(list)
-    for record in table.records:
+    for record in flow_oracle.records(table):
         t = (record.start_time - origin).total_seconds()
         for k in window_span_indices(t, cfg):
             groups[(k, record.src_addr)].append(record)
