@@ -7,7 +7,8 @@ prints its full effective configuration, defaults and seeds included,
 so any report can be reproduced from its own header.
 
 botsift runs on one thread. The `threads` option is still accepted,
-and echoed in the configuration, but it is ignored.
+and echoed in the configuration, but it is ignored. Model fits run with
+one BLAS thread; scoring uses numpy's default BLAS thread pool.
 """
 
 from __future__ import annotations

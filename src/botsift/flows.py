@@ -201,12 +201,28 @@ class SummaryStats:
     categorical: dict  # column -> CategoricalStats
 
 
+def _is_number_text(cell: str) -> bool:
+    """Whether cell, stripped, may hold a number: float() and int() also
+    read '_' digit separators and non-ASCII digits, which no binetflow
+    writer produces."""
+    text = cell.strip()
+    return text.isascii() and "_" not in text
+
+
+def _number(cell: str) -> float:
+    if not _is_number_text(cell):
+        raise ValueError(f"not a number: {cell!r}")
+    return float(cell)
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse 'YYYY/MM/DD HH:MM:SS[.fraction]' (naive, no timezone).
 
     Any fractional-second width is accepted; digits beyond microseconds are
     truncated.
     """
+    if not _is_number_text(text):
+        raise FlowParseError("bad_timestamp", text)
     try:
         date_part, _, time_part = text.strip().partition(" ")
         year, month, day = date_part.split("/")
@@ -220,7 +236,9 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime("%Y/%m/%d %H:%M:%S.%f")
+    """The fixed-width form: strftime's %Y does not pad a year below
+    1000."""
+    return f"{ts.year:04d}/{ts:%m/%d %H:%M:%S.%f}"
 
 
 def _optional_token(cell: str) -> Optional[str]:
@@ -233,14 +251,14 @@ def _optional_int(cell: str, reason: str) -> Optional[int]:
     if not cell:
         return None
     try:
-        return int(float(cell))
+        return int(_number(cell))
     except (ValueError, OverflowError) as exc:
         raise FlowParseError(reason, cell) from exc
 
 
 def _count(cell: str, name: str) -> int:
     try:
-        value = int(float(cell))
+        value = int(_number(cell))
     except (ValueError, TypeError, OverflowError) as exc:
         raise FlowParseError(f"bad_{name}", cell) from exc
     if value < 0:
@@ -286,7 +304,7 @@ def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
     start_time = parse_timestamp(cells["StartTime"])
 
     try:
-        dur = float(cells["Dur"])
+        dur = _number(cells["Dur"])
     except ValueError as exc:
         raise FlowParseError("bad_duration", cells["Dur"]) from exc
     if not np.isfinite(dur):
@@ -465,22 +483,25 @@ def _timestamps(cells: Sequence[str]) -> tuple:
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
-    """float() of each cell, NaN where float() refuses it: no column read
-    this way accepts a NaN."""
+    """_number() of each cell, NaN where it refuses the cell: no column
+    read this way accepts a NaN."""
     values, rest = [], iter(cells)
     while len(values) < len(cells):
         try:
             values.extend(map(float, rest))
         except ValueError:  # rest has moved past the refused cell
             values.append(np.nan)
-    return np.array(values, np.float64)
+    values = np.array(values, np.float64)
+    if not _is_number_text("".join(cells)):
+        values[[not _is_number_text(c) for c in cells]] = np.nan
+    return values
 
 
 def _tos(cells: list) -> list:
     values = []
     for cell in map(str.strip, cells):
         try:
-            values.append(str(int(float(cell))) if cell else ABSENT)
+            values.append(str(int(_number(cell))) if cell else ABSENT)
         except (ValueError, OverflowError):
             values.append(None)
     return values

@@ -2,7 +2,8 @@
 
 `TRAINERS` maps family tags to (params class, trainer); `predict`
 dispatches on the artifact's family tag and applies any stored
-standardization or kernel map before scoring.
+standardization or kernel map before scoring. A fit runs on one BLAS
+thread; scoring uses numpy's default pool.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 from ..windows import Dataset
 from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, load_artifact,
                    sigmoid)
+from .blas import one_thread
 from .boosting import BoostingParams, train_boosting, score_boosting
 from .forest import ForestParams, train_random_forest, score_forest
 from .logreg import LogRegParams, train_logreg, score_logreg
@@ -46,7 +48,8 @@ def train_model(family: str, ds: Dataset, hp) -> ModelArtifact:
     if family not in TRAINERS:
         raise ValueError(f"unknown model family {family!r}")
     _, trainer = TRAINERS[family]
-    return trainer(ds, hp)
+    with one_thread():
+        return trainer(ds, hp)
 
 
 def make_params(family: str, overrides: dict):

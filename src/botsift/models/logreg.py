@@ -9,6 +9,7 @@ artifact.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ import numpy as np
 from ..windows import Dataset
 from .base import (ModelArtifact, apply_standardizer, check_both_classes,
                    fit_standardizer, sigmoid)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -95,9 +98,8 @@ def train_logreg(ds: Dataset, hp: LogRegParams) -> ModelArtifact:
         converged = grad_norm < hp.tol
 
     if not converged:
-        import warnings
-        warnings.warn("logreg did not reach the gradient tolerance in "
-                      f"{hp.max_iter} iterations (|g|={grad_norm:.3g})")
+        logger.warning("logreg did not reach the gradient tolerance in %d "
+                       "iterations (|g|=%.3g)", hp.max_iter, grad_norm)
 
     return ModelArtifact(
         family="logreg",

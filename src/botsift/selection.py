@@ -4,7 +4,7 @@ with redundancy pruning, backward feature elimination, and PCA."""
 from __future__ import annotations
 
 import csv
-import warnings
+import logging
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -13,6 +13,8 @@ import numpy as np
 from .evaluation import prf1, split_dataset
 from .models import predict, train_model
 from .windows import Dataset
+
+logger = logging.getLogger(__name__)
 
 
 def pearson(x, y) -> float:
@@ -65,8 +67,8 @@ def filter_select(ds: Dataset, threshold: float = 0.1,
             continue
         label_corr[name] = pearson(col, y)
     if constant:
-        warnings.warn("constant features excluded from the filter: "
-                      + ", ".join(constant))
+        logger.warning("constant features excluded from the filter: %s",
+                       ", ".join(constant))
 
     stage1 = [name for name in label_corr
               if abs(label_corr[name]) > threshold]
@@ -233,8 +235,8 @@ def pca(ds: Dataset, k: int) -> PcaResult:
     total = float(eigenvalues.sum())
     rank = int(np.sum(eigenvalues > 1e-12 * max(total, 1.0)))
     if k > rank:
-        warnings.warn(f"k={k} exceeds the numerical rank {rank}; "
-                      "trailing components explain no variance")
+        logger.warning("k=%d exceeds the numerical rank %d; trailing "
+                       "components explain no variance", k, rank)
 
     components = eigenvectors[:, :k].T.copy()
     for row in components:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -406,9 +405,7 @@ def test_criterion_11_pca_sanity():
     u = rng.normal(size=50)
     rank_one = Dataset(np.outer(u, [2.0, -1.0]), np.zeros(50, dtype=int),
                        ["a", "b"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = pca(rank_one, 2)
+    result = pca(rank_one, 2)
     assert abs(result.explained_variance_ratio[0] - 1.0) <= 1e-9
     assert abs(result.explained_variance_ratio[1]) <= 1e-9
 

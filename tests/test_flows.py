@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
+from botsift import flows
 from botsift.flows import (ABSENT, CANONICAL_COLUMNS, CHUNK_ROWS,
                            FlowParseError, FlowRecord, FlowTable, ParseStats,
                            build_header_map, format_timestamp,
@@ -161,7 +162,7 @@ def test_header_map_ignores_extra_columns_and_uses_positions():
 
 
 def write_capture(path, rows):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CANONICAL_COLUMNS)
         writer.writerows(rows)
@@ -188,6 +189,42 @@ def test_load_scenario_counts_infinite_cells(tmp_path):
     assert stats.reason_counts["bad_packet_count"] == 1
     assert stats.reason_counts["bad_byte_count"] == 2
     assert stats.reason_counts["bad_tos"] == 2
+
+
+# float() and int() read these as 12; a binetflow number is plain ASCII
+SEPARATED_OR_NON_ASCII = ["1_2", "\u0661\u0662", " \u0661\u0662\u00a0"]
+
+
+@pytest.mark.parametrize("column,cell,reason", [
+    *[(column, cell, reason)
+      for column, reason in (("Dur", "bad_duration"),
+                             ("TotPkts", "bad_packet_count"),
+                             ("TotBytes", "bad_byte_count"),
+                             ("SrcBytes", "bad_byte_count"),
+                             ("sTos", "bad_tos"), ("dTos", "bad_tos"))
+      for cell in SEPARATED_OR_NON_ASCII],
+    ("StartTime", "2011/08/1_0 09:46:53.047277", "bad_timestamp"),
+    ("StartTime", "2011/08/10 09:46:53.1_2", "bad_timestamp"),
+    ("StartTime", "2011/08/\u0661\u0660 09:46:53.047277", "bad_timestamp"),
+])
+def test_numbers_with_separators_or_non_ascii_are_rejected(
+        tmp_path, column, cell, reason):
+    with pytest.raises(FlowParseError) as err:
+        parse(**{column: cell})
+    assert err.value.reason == reason
+    path = tmp_path / "numbers.csv"
+    write_capture(path, [make_row(), make_row(**{column: cell})])
+    stats = load_scenario(path).parse_stats
+    assert (stats.accepted, stats.samples) == (1, [(2, reason)])
+
+
+@pytest.mark.parametrize("column,cell", [
+    ("Dur", "12"), ("TotPkts", "12"), ("TotBytes", "900"),
+    ("SrcBytes", "12"), ("sTos", "12"), ("dTos", "12"),
+    ("StartTime", "2011/08/10 09:46:53"),
+])
+def test_numbers_may_be_padded_with_any_whitespace(column, cell):
+    assert parse(**{column: f"\u00a0{cell}\u2003"}) == parse(**{column: cell})
 
 
 def test_load_scenario_header_only(tmp_path):
@@ -265,17 +302,20 @@ STAMP_CELLS = [
     "2011/08/10 09:46:60.000000", "2011-08-10 09:46:53.047277",
     "2011/08/10T09:46:53.047277", "２011/08/10 09:46:53.047277",
     "2011/08/10 09:46:53.04727x", "+011/08/10 09:46:53.047277",
-    "2011/08/10 09:46:53,047277", "2011/08/10 09:46:5\udcff.047277", "",
+    "2011/08/10 09:46:53,047277", "2011/08/10 09:46:5\udcff.047277",
+    "2011/08/1_0 09:46:53.047277", "2011/08/10 09:46:53.1_2",
+    "2011/08/١٠ 09:46:53.047277", "",
 ]
 NUMBER_CELLS = [
     "0", "-0", "-0.0", "0.5", "-0.5", "0.9", "1", "1.9", "-1", "12", " 7 ",
     "1_000", "2.5e3", "inf", "-inf", "nan", "1e400", "-1e400", "1e19",
     "9223372036854775807", "9223372036854775808", "18446744073709551616",
-    "", "x", "١٢", "1\udcff",
+    "", "x", "١٢", "\u00a07", "1\udcff",
 ]
 TEXT_CELLS = ["", " ", "tcp", " TCP ", ABSENT, "a,b", 'q"uote', "a\nb",
               "c\r\nd", "é", "x\udcffy", "10.0.0.1", "0", " 1 ", "1.9",
-              "-0", "1e400", "nan", "2e19", "a\x00", "a"]
+              "-0", "1e400", "nan", "2e19", "1_0", "١٢", "\u00a07", "a\x00",
+              "a"]
 LABEL_CELLS = ["flow=Background", " flow=From-Botnet-V42 ", "", "Background",
                "flow=é", "flow=a,b", "flow=x\udcff"]
 CATALOGUE = {column: {"StartTime": STAMP_CELLS, "Dur": NUMBER_CELLS,
@@ -389,6 +429,20 @@ def test_round_trip_preserves_records(tmp_path):
     table = load_scenario(path)
     assert table.parse_stats.rejected == 0
     assert flow_oracle.records(table) == originals
+
+
+def test_write_flow_csv_pads_years_below_1000(tmp_path, monkeypatch):
+    early = parse(StartTime="0005/01/01 00:00:00.000000")
+    path = tmp_path / "year5.csv"
+    write_flow_csv(FlowTable.from_records([early]), path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        cells = list(csv.reader(fh))[1]
+    assert cells[0] == "0005/01/01 00:00:00.000000"
+    # the column decoder takes the row: the per-row parser is not called
+    monkeypatch.setattr(flows, "parse_flow_record", None)
+    table = load_scenario(path)
+    assert (table.parse_stats.accepted, table.parse_stats.rejected) == (1, 0)
+    assert flow_oracle.records(table) == [early]
 
 
 def test_serialize_uses_exact_duration(tmp_path):

@@ -1,7 +1,7 @@
 """Logistic regression and SGD SVM (with explicit kernel maps) against
 closed-form and search oracles."""
 
-import warnings
+import logging
 
 import numpy as np
 import pytest
@@ -71,10 +71,12 @@ class TestLogReg:
         with pytest.raises(ValueError, match="both classes"):
             train_logreg(ds, LogRegParams())
 
-    def test_nonconvergence_warns_not_errors(self):
+    def test_nonconvergence_warns_not_errors(self, caplog):
         ds, _, _ = separable_1d()
-        with pytest.warns(UserWarning, match="tolerance"):
-            artifact = train_logreg(ds, LogRegParams(max_iter=1))
+        artifact = train_logreg(ds, LogRegParams(max_iter=1))
+        assert [(name, level) for name, level, message in caplog.record_tuples
+                if "tolerance" in message] == [("botsift.models.logreg",
+                                                logging.WARNING)]
         assert artifact.metadata["converged"] is False
 
     def test_artifact_round_trip_is_exact(self, tmp_path):

@@ -3,6 +3,7 @@ independent oracles (two-pass Pearson, Jacobi rotations, exhaustive
 removal scan)."""
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -15,6 +16,14 @@ from botsift.selection import (FilterResult, backward_elimination,
                                pearson, write_correlation_csv,
                                write_trace_csv)
 from botsift.windows import Dataset
+
+
+def warnings_from_selection(caplog, match: str = "") -> int:
+    """How many WARNING records botsift.selection logged whose message
+    holds match."""
+    return sum(name == "botsift.selection" and level == logging.WARNING
+               and match in message
+               for name, level, message in caplog.record_tuples)
 
 
 def pearson_oracle(x, y):
@@ -99,12 +108,12 @@ def filter_fixture(seed=29, n=200):
                    ["hit", "echo", "junk", "flat"]), y
 
 
-def test_filter_keeps_label_copy_and_prunes_redundant():
+def test_filter_keeps_label_copy_and_prunes_redundant(caplog):
     ds, y = filter_fixture()
     # precondition for the fixture: junk really is below threshold
     assert abs(pearson_oracle(ds.rows[:, 2], y.astype(float))) < 0.1
-    with pytest.warns(UserWarning, match="flat"):
-        result = filter_select(ds, threshold=0.1, redundancy_threshold=0.95)
+    result = filter_select(ds, threshold=0.1, redundancy_threshold=0.95)
+    assert warnings_from_selection(caplog, "flat") == 1
     assert result.constant_features == ["flat"]
     assert result.stage1 == ["hit", "echo"]
     assert result.selected == ["hit"]
@@ -116,10 +125,10 @@ def test_filter_keeps_label_copy_and_prunes_redundant():
     assert "flat" not in result.label_correlations
 
 
-def test_filter_label_correlations_match_oracle():
+def test_filter_label_correlations_match_oracle(caplog):
     ds, y = filter_fixture(seed=31)
-    with pytest.warns(UserWarning):
-        result = filter_select(ds)
+    result = filter_select(ds)
+    assert warnings_from_selection(caplog) == 1
     yf = y.astype(float)
     for name in ("hit", "echo", "junk"):
         col = ds.rows[:, ds.feature_names.index(name)]
@@ -261,15 +270,15 @@ def test_trace_csv_format(tmp_path):
     assert int(rows[-1][3]) == len(trace.steps[-1].feature_subset)
 
 
-def test_pca_rank_one_ratios():
+def test_pca_rank_one_ratios(caplog):
     rng = np.random.default_rng(3)
     t = rng.normal(size=60)
     direction = np.array([0.5, -1.0, 2.0, 0.25, 1.5])
     rows = np.outer(t, direction)
     ds = Dataset(rows, np.zeros(60, dtype=int),
                  [f"f{i}" for i in range(5)])
-    with pytest.warns(UserWarning, match="rank"):
-        result = pca(ds, 2)
+    result = pca(ds, 2)
+    assert warnings_from_selection(caplog, "rank") == 1
     assert abs(result.explained_variance_ratio[0] - 1.0) < 1e-9
     assert abs(result.explained_variance_ratio[1]) < 1e-9
     assert result.component_vectors.shape == (2, 5)
