@@ -22,9 +22,9 @@ import numpy as np
 from . import flows, reports, selection, synth, windows
 from .evaluation import (cross_scenario_eval, hyperparam_sweep,
                          repeated_eval)
-from .models import load_artifact, make_params, train_model
+from .models import TRAINERS, load_artifact, make_params, train_model
 
-FAMILIES = ("logreg", "svm", "rf", "gboost", "nn")
+FAMILIES = tuple(TRAINERS)
 DEFAULT_SEED = 42
 
 
@@ -86,6 +86,18 @@ def dataset_name(ds: windows.Dataset, path: str) -> str:
                or os.path.splitext(os.path.basename(path))[0])
 
 
+def report(table: reports.Table, args, *lines) -> int:
+    """Prints table and lines, then writes the table to --out-csv if one
+    was given."""
+    print(table.to_text(), end="")
+    for line in lines:
+        print(line)
+    if args.out_csv:
+        table.write_csv(args.out_csv)
+        print(f"wrote {args.out_csv}")
+    return 0
+
+
 def cmd_summarize(args) -> int:
     table = flows.load_scenario(args.flows)
     echo_config(args)
@@ -144,12 +156,7 @@ def cmd_eval(args) -> int:
     name = dataset_name(ds, args.features)
     title = (f"{artifact.family} on {name}: {args.runs} run(s), "
              f"train fraction {args.train_frac:g}, seed {args.seed}")
-    table = reports.eval_table(name, ds, rm, title)
-    print(table.to_text(), end="")
-    if args.out_csv:
-        table.write_csv(args.out_csv)
-        print(f"wrote {args.out_csv}")
-    return 0
+    return report(reports.eval_table(name, ds, rm, title), args)
 
 
 def cmd_sweep(args) -> int:
@@ -171,15 +178,11 @@ def cmd_sweep(args) -> int:
                              args.seed, args.train_frac)
     title = (f"sweep {args.model} on {dataset_name(ds, args.features)}: "
              f"{args.runs} run(s) per point, seed {args.seed}")
-    table = reports.sweep_table(sweep, title)
-    print(table.to_text(), end="")
+    lines = []
     if sweep.best is not None:
         best = " ".join(f"{k}={v}" for k, v in sweep.best.params.items())
-        print(f"best: {best}")
-    if args.out_csv:
-        table.write_csv(args.out_csv)
-        print(f"wrote {args.out_csv}")
-    return 0
+        lines.append(f"best: {best}")
+    return report(reports.sweep_table(sweep, title), args, *lines)
 
 
 def cmd_crossscen(args) -> int:
@@ -191,13 +194,9 @@ def cmd_crossscen(args) -> int:
     train_name = dataset_name(train_ds, args.train)
     test_name = dataset_name(test_ds, args.test)
     title = f"{args.model}: train on {train_name}, test on {test_name}"
-    table = reports.cross_scenario_table(train_name, test_name, test_ds,
-                                         metrics, title)
-    print(table.to_text(), end="")
-    if args.out_csv:
-        table.write_csv(args.out_csv)
-        print(f"wrote {args.out_csv}")
-    return 0
+    return report(reports.cross_scenario_table(train_name, test_name,
+                                               test_ds, metrics, title),
+                  args)
 
 
 def cmd_bootstrap_eval(args) -> int:
@@ -209,31 +208,25 @@ def cmd_bootstrap_eval(args) -> int:
                        args.train_frac, bootstrap_factor=args.factor)
     title = (f"{args.model} on {name}: training data x{args.factor}, "
              f"{args.runs} run(s), seed {args.seed}")
-    table = reports.eval_table(name, ds, rm, title)
-    print(table.to_text(), end="")
-    if args.out_csv:
-        table.write_csv(args.out_csv)
-        print(f"wrote {args.out_csv}")
-    return 0
+    return report(reports.eval_table(name, ds, rm, title), args)
 
 
 def cmd_select(args) -> int:
     echo_config(args)
     ds = load_features(args.features)
     name = dataset_name(ds, args.features)
-
+    lines = []
     if args.method == "filter":
         result = selection.filter_select(ds, args.threshold,
                                          args.redundancy)
         table = reports.filter_table(
             result, f"filter selection on {name}: |r| > {args.threshold:g}")
-        print(table.to_text(), end="")
-        print("selected: " + " ".join(result.selected))
+        lines.append("selected: " + " ".join(result.selected))
         if args.corr_csv:
             matrix = selection.correlation_matrix(ds)
             selection.write_correlation_csv(matrix, ds.feature_names,
                                             args.corr_csv)
-            print(f"wrote {args.corr_csv}")
+            lines.append(f"wrote {args.corr_csv}")
     elif args.method == "backward":
         hp = resolved_params(args.model, args.hp, args.seed)
         trace = selection.backward_elimination(ds, args.model, hp,
@@ -256,17 +249,10 @@ def cmd_select(args) -> int:
             ds.feature_names,
             artifact.parameters["feature_importances"],
             f"forest importances on {name}")
-        print(table.to_text(), end="")
     else:  # pca
-        result = selection.pca(ds, args.k)
-        table = reports.pca_table(
-            result, f"pca on {name}: top {args.k} components")
-        print(table.to_text(), end="")
-
-    if args.method != "backward" and args.out_csv:
-        table.write_csv(args.out_csv)
-        print(f"wrote {args.out_csv}")
-    return 0
+        table = reports.pca_table(selection.pca(ds, args.k),
+                                  f"pca on {name}: top {args.k} components")
+    return report(table, args, *lines)
 
 
 def cmd_synth(args) -> int:

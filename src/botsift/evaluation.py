@@ -64,11 +64,16 @@ def split_dataset(ds: Dataset, train_frac: float, seed: int):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
+def _check_factor(factor):
+    if int(factor) != factor or factor < 1:
+        raise ValueError(
+            f"bootstrap factor must be an integer >= 1, got {factor!r}")
+
+
 def bootstrap_resample(train: Dataset, factor: int, seed: int) -> Dataset:
     """factor * n rows drawn uniformly with replacement from the
     training data. Test data is never resampled."""
-    if int(factor) != factor or factor < 1:
-        raise ValueError("factor must be an integer >= 1")
+    _check_factor(factor)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, train.n, size=int(factor) * train.n)
     return train.subset(idx)
@@ -96,7 +101,7 @@ def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
     test Metrics, artifact). Training metrics describe the data the
     model was actually fit to (the resampled set when bootstrapping)."""
     train, test = split_dataset(ds, train_frac, split_seed)
-    if bootstrap_factor is not None and bootstrap_factor > 1:
+    if bootstrap_factor not in (None, 1):
         train = bootstrap_resample(train, bootstrap_factor, split_seed)
     artifact = train_model(family, train, hp)
     _, train_pred = predict(artifact, train.rows)
@@ -112,6 +117,8 @@ def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
     seed = seed + i."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if bootstrap_factor is not None:
+        _check_factor(bootstrap_factor)
     result = RepeatedMetrics()
     for i in range(n_runs):
         try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -241,29 +240,100 @@ def format_timestamp(ts: datetime) -> str:
     return f"{ts.year:04d}/{ts:%m/%d %H:%M:%S.%f}"
 
 
-def _optional_token(cell: str) -> Optional[str]:
-    cell = cell.strip()
-    return sys.intern(cell) if cell else None
+def _duration(cell: str) -> float:
+    try:
+        dur = _number(cell)
+    except ValueError as exc:
+        raise FlowParseError("bad_duration", cell) from exc
+    if not np.isfinite(dur):
+        raise FlowParseError("bad_duration", cell)
+    if dur < 0:
+        raise FlowParseError("negative_duration", cell)
+    return dur
 
 
-def _optional_int(cell: str, reason: str) -> Optional[int]:
+def _count(name: str, least: int):
+    """The rule of a count cell: its truncated number, at least least."""
+    def rule(cell: str) -> int:
+        try:
+            value = int(_number(cell))
+        except (ValueError, OverflowError) as exc:
+            raise FlowParseError(f"bad_{name}", cell) from exc
+        if value < 0:
+            raise FlowParseError(f"negative_{name}", cell)
+        if value < least:
+            raise FlowParseError(f"bad_{name}", cell)
+        return value
+    return rule
+
+
+def _required(reason: str):
+    """The rule of a text cell that may not be empty."""
+    def rule(cell: str) -> str:
+        cell = cell.strip()
+        if not cell:
+            raise FlowParseError(reason)
+        return cell
+    return rule
+
+
+def _optional(cell: str) -> Optional[str]:
+    return cell.strip() or None
+
+
+def _label(cell: str) -> str:
+    label = cell.strip()
+    if label and not label.startswith("flow="):
+        raise FlowParseError("bad_label", label)
+    return label
+
+
+def _type_of_service(cell: str) -> Optional[int]:
     cell = cell.strip()
     if not cell:
         return None
     try:
         return int(_number(cell))
     except (ValueError, OverflowError) as exc:
-        raise FlowParseError(reason, cell) from exc
+        raise FlowParseError("bad_tos", cell) from exc
 
 
-def _count(cell: str, name: str) -> int:
+# Per canonical column, in the order parse_flow_record checks them: the
+# FlowRecord field it fills, and the rule that gives the field's value of
+# a cell or raises FlowParseError. _decode_columns applies the rules of
+# the text columns to each distinct cell, and decodes the others with
+# numpy.
+_CELL_RULES = (
+    ("StartTime", "start_time", parse_timestamp),
+    ("Dur", "dur", _duration),
+    ("SrcAddr", "src_addr", _required("missing_src_addr")),
+    ("DstAddr", "dst_addr", _required("missing_dst_addr")),
+    ("TotPkts", "tot_pkts", _count("packet_count", 1)),
+    ("TotBytes", "tot_bytes", _count("byte_count", 0)),
+    ("SrcBytes", "src_bytes", _count("byte_count", 0)),
+    ("Label", "label", _label),
+    ("Proto", "proto", lambda cell: cell.strip().lower()),
+    ("Sport", "sport", _optional),
+    ("Dir", "dir", str.strip),
+    ("Dport", "dport", _optional),
+    ("State", "state", _optional),
+    ("sTos", "s_tos", _type_of_service),
+    ("dTos", "d_tos", _type_of_service),
+)
+
+
+def _column_text(value) -> str:
+    """A FlowRecord text value as its FlowTable string."""
+    return ABSENT if value is None else str(value)
+
+
+def _cell_text(rule, cell: str) -> Optional[str]:
+    """The FlowTable string of cell under rule, None where the rule
+    rejects it."""
     try:
-        value = int(_number(cell))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise FlowParseError(f"bad_{name}", cell) from exc
-    if value < 0:
-        raise FlowParseError(f"negative_{name}", cell)
-    return value
+        return _column_text(rule(cell))
+    except FlowParseError:
+        return None
 
 
 def _is_utf8(text: str) -> bool:
@@ -301,54 +371,13 @@ def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
     if not _is_utf8("".join(cells.values())):
         raise FlowParseError("bad_encoding")
 
-    start_time = parse_timestamp(cells["StartTime"])
-
-    try:
-        dur = _number(cells["Dur"])
-    except ValueError as exc:
-        raise FlowParseError("bad_duration", cells["Dur"]) from exc
-    if not np.isfinite(dur):
-        raise FlowParseError("bad_duration", cells["Dur"])
-    if dur < 0:
-        raise FlowParseError("negative_duration", cells["Dur"])
-
-    src_addr = cells["SrcAddr"].strip()
-    if not src_addr:
-        raise FlowParseError("missing_src_addr")
-    dst_addr = cells["DstAddr"].strip()
-    if not dst_addr:
-        raise FlowParseError("missing_dst_addr")
-
-    tot_pkts = _count(cells["TotPkts"], "packet_count")
-    if tot_pkts < 1:
-        raise FlowParseError("bad_packet_count", cells["TotPkts"])
-    tot_bytes = _count(cells["TotBytes"], "byte_count")
-    src_bytes = _count(cells["SrcBytes"], "byte_count")
-    if src_bytes > tot_bytes:
-        raise FlowParseError("src_bytes_exceed_total",
-                             f"{src_bytes} > {tot_bytes}")
-
-    label = cells["Label"].strip()
-    if label and not label.startswith("flow="):
-        raise FlowParseError("bad_label", label)
-
-    return FlowRecord(
-        start_time=start_time,
-        dur=dur,
-        proto=sys.intern(cells["Proto"].strip().lower()),
-        src_addr=sys.intern(src_addr),
-        sport=_optional_token(cells["Sport"]),
-        dir=sys.intern(cells["Dir"].strip()),
-        dst_addr=sys.intern(dst_addr),
-        dport=_optional_token(cells["Dport"]),
-        state=_optional_token(cells["State"]),
-        s_tos=_optional_int(cells["sTos"], "bad_tos"),
-        d_tos=_optional_int(cells["dTos"], "bad_tos"),
-        tot_pkts=tot_pkts,
-        tot_bytes=tot_bytes,
-        src_bytes=src_bytes,
-        label=label,
-    )
+    values = {}
+    for column, name, rule in _CELL_RULES:
+        values[name] = rule(cells[column])
+        if name == "src_bytes" and values[name] > values["tot_bytes"]:
+            raise FlowParseError("src_bytes_exceed_total",
+                                 f"{values[name]} > {values['tot_bytes']}")
+    return FlowRecord(**values)
 
 
 _NUMERIC = ("t_us", "dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -380,10 +409,10 @@ class _TableBuilder:
         return np.fromiter(map(ids.get, values, repeat(-1)), np.int32,
                            len(values))
 
-    def cell_ids(self, column: str, cells: Sequence[str], decode):
-        """Per cell, the id of its value, or -1 where parse_flow_record
-        would reject the cell. A valid cell text is decoded once per
-        load."""
+    def cell_ids(self, column: str, cells: Sequence[str], rule):
+        """Per cell, the id of its value under rule, or -1 where
+        parse_flow_record would reject the cell. A valid cell text is
+        decoded once per load."""
         ids, known = self.ids[column], self.values[column]
         codes = np.fromiter(map(ids.get, cells, repeat(-1)), np.int32,
                             len(cells))
@@ -391,7 +420,7 @@ class _TableBuilder:
         if unseen.any():
             cells = list(compress(cells, unseen.tolist()))
             new = list(dict.fromkeys(cells))
-            values = decode(new)
+            values = [_cell_text(rule, cell) for cell in new]
             if not "".join(new).isascii():
                 values = [v if _is_utf8(c) else None
                           for c, v in zip(new, values)]
@@ -417,9 +446,8 @@ class _TableBuilder:
             out[name] = np.fromiter(
                 (getattr(r, name) for r in records), np.float64, n)
         for name in CATEGORICAL_SUMMARY_COLUMNS:
-            out[name] = self.ids_of(name, [
-                ABSENT if (v := getattr(r, name)) is None else str(v)
-                for r in records])
+            out[name] = self.ids_of(name, [_column_text(getattr(r, name))
+                                           for r in records])
         return out
 
     def table(self, source_path, parse_stats) -> FlowTable:
@@ -497,36 +525,6 @@ def _floats(cells: Sequence[str]) -> np.ndarray:
     return values
 
 
-def _tos(cells: list) -> list:
-    values = []
-    for cell in map(str.strip, cells):
-        try:
-            values.append(str(int(_number(cell))) if cell else ABSENT)
-        except (ValueError, OverflowError):
-            values.append(None)
-    return values
-
-
-# column -> (canonical cell, the values of a list of cells, None for a
-# cell that parse_flow_record would reject)
-_STRING_CELLS = {
-    "proto": ("Proto", lambda cells: [c.strip().lower() for c in cells]),
-    "src_addr": ("SrcAddr", lambda cells: [c.strip() or None
-                                           for c in cells]),
-    "sport": ("Sport", lambda cells: [c.strip() or ABSENT for c in cells]),
-    "dir": ("Dir", lambda cells: list(map(str.strip, cells))),
-    "dst_addr": ("DstAddr", lambda cells: [c.strip() or None
-                                           for c in cells]),
-    "dport": ("Dport", lambda cells: [c.strip() or ABSENT for c in cells]),
-    "state": ("State", lambda cells: [c.strip() or ABSENT for c in cells]),
-    "s_tos": ("sTos", _tos),
-    "d_tos": ("dTos", _tos),
-    "label": ("Label", lambda cells: [
-        c if not c or c.startswith("flow=") else None
-        for c in map(str.strip, cells)]),
-}
-
-
 def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
     """The columns of rows given as canonical column -> cells, and which
     rows they prove valid. A valid row's values are those
@@ -541,9 +539,10 @@ def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
         out[name] = np.trunc(_floats(cells[column])) + 0.0
         valid &= np.isfinite(out[name]) & (out[name] >= least)
     valid &= out["src_bytes"] <= out["tot_bytes"]
-    for name, (column, decode) in _STRING_CELLS.items():
-        out[name] = builder.cell_ids(name, cells[column], decode)
-        valid &= out[name] >= 0
+    for column, name, rule in _CELL_RULES:
+        if name in builder.ids:
+            out[name] = builder.cell_ids(name, cells[column], rule)
+            valid &= out[name] >= 0
     for column in ("sTos", "dTos"):  # ABSENT is no number, but a value
         if not "".join(cells[column]).isascii():
             valid &= np.array([c.strip() != ABSENT for c in cells[column]])

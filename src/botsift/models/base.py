@@ -33,11 +33,11 @@ class ModelArtifact:
         doc = {
             "format_version": ARTIFACT_FORMAT_VERSION,
             "family": self.family,
-            "hyperparams": _jsonable(self.hyperparams),
+            "hyperparams": jsonable(self.hyperparams),
             "feature_names": list(self.feature_names),
-            "standardization": _jsonable(self.standardization),
-            "parameters": _jsonable(self.parameters),
-            "metadata": _jsonable(self.metadata),
+            "standardization": jsonable(self.standardization),
+            "parameters": jsonable(self.parameters),
+            "metadata": jsonable(self.metadata),
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -64,15 +64,16 @@ def load_artifact(path) -> ModelArtifact:
     )
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj with numpy arrays and scalars as lists and Python numbers."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     return obj
 
 
@@ -107,3 +108,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z), computed stably: finite for any z."""
+    return np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))

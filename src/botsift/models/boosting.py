@@ -9,13 +9,13 @@ stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..windows import Dataset
 from . import trees
-from .base import ModelArtifact, check_both_classes, sigmoid
+from .base import ModelArtifact, check_both_classes, sigmoid, softplus
 
 
 @dataclass
@@ -53,10 +53,7 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
 
     def training_loss() -> float:
         if hp.loss == "deviance":
-            z = F
-            softplus = np.where(z > 0, z + np.log1p(np.exp(-z)),
-                                np.log1p(np.exp(z)))
-            return float(np.mean(softplus - y * z))
+            return float(np.mean(softplus(F) - y * F))
         return float(np.mean(np.exp(np.clip(-y_pm * F, -50, 50))))
 
     stage_losses = [training_loss()]
@@ -82,9 +79,7 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
 
     return ModelArtifact(
         family="gboost",
-        hyperparams={"loss": hp.loss, "n_trees": hp.n_trees,
-                     "max_depth": hp.max_depth,
-                     "learning_rate": hp.learning_rate, "seed": hp.seed},
+        hyperparams=asdict(hp),
         feature_names=list(ds.feature_names),
         standardization=None,
         parameters={"f0": f0, "trees": stages},

@@ -12,7 +12,7 @@ weighted by the number of times its bootstrap sample drew it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -114,8 +114,7 @@ def train_random_forest(ds: Dataset, hp: ForestParams) -> ModelArtifact:
 
     return ModelArtifact(
         family="rf",
-        hyperparams={"n_trees": hp.n_trees, "max_depth": hp.max_depth,
-                     "seed": hp.seed},
+        hyperparams=asdict(hp),
         feature_names=list(ds.feature_names),
         standardization=None,
         parameters={"trees": forest,

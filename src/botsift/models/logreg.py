@@ -10,13 +10,13 @@ artifact.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..windows import Dataset
 from .base import (ModelArtifact, apply_standardizer, check_both_classes,
-                   fit_standardizer, sigmoid)
+                   fit_standardizer, sigmoid, softplus)
 
 logger = logging.getLogger(__name__)
 
@@ -42,10 +42,8 @@ def _loss_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
     """Weighted BCE + L2, with gradient. Uses log(1+e^z) - y*z which is
     finite for any margin."""
     z = X @ w + b
-    # log(1 + e^z) computed stably
-    softplus = np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
     n = X.shape[0]
-    loss = float(np.sum(sw * (softplus - y * z)) / n)
+    loss = float(np.sum(sw * (softplus(z) - y * z)) / n)
     loss += float(w @ w) / (2.0 * c)
 
     p = sigmoid(z)
@@ -103,10 +101,7 @@ def train_logreg(ds: Dataset, hp: LogRegParams) -> ModelArtifact:
 
     return ModelArtifact(
         family="logreg",
-        hyperparams={"c": hp.c, "weight_negative": hp.weight_negative,
-                     "weight_positive": hp.weight_positive,
-                     "max_iter": hp.max_iter, "tol": hp.tol,
-                     "seed": hp.seed},
+        hyperparams=asdict(hp),
         feature_names=list(ds.feature_names),
         standardization=std,
         parameters={"weights": w.tolist(), "bias": b},

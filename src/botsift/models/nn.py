@@ -10,14 +10,14 @@ from logits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..windows import Dataset
 from .base import (ModelArtifact, apply_standardizer, check_both_classes,
-                   fit_standardizer, sigmoid)
+                   fit_standardizer, jsonable, sigmoid, softplus)
 
 
 @dataclass
@@ -110,9 +110,7 @@ def forward_logits(net: dict, X: np.ndarray, eps: float,
 
 
 def bce_from_logits(logits: np.ndarray, y: np.ndarray) -> float:
-    softplus = np.where(logits > 0, logits + np.log1p(np.exp(-logits)),
-                        np.log1p(np.exp(logits)))
-    return float(np.mean(softplus - y * logits))
+    return float(np.mean(softplus(logits) - y * logits))
 
 
 def forward_backward(net: dict, X: np.ndarray, y: np.ndarray,
@@ -218,23 +216,10 @@ def train_nn(ds: Dataset, hp: NnParams) -> ModelArtifact:
     trainable, non_trainable = parameter_counts(X.shape[1], hp.hidden)
     return ModelArtifact(
         family="nn",
-        hyperparams={"hidden": list(hp.hidden),
-                     "learning_rate": hp.learning_rate,
-                     "momentum": hp.momentum, "epochs": hp.epochs,
-                     "batch_size": hp.batch_size,
-                     "bn_momentum": hp.bn_momentum, "bn_eps": hp.bn_eps,
-                     "seed": hp.seed},
+        hyperparams=asdict(hp),
         feature_names=list(ds.feature_names),
         standardization=std,
-        parameters={
-            "blocks": [{k: b[k].tolist()
-                        for k in ("W", "b", "gamma", "beta")}
-                       for b in net["blocks"]],
-            "out_W": net["out_W"].tolist(),
-            "out_b": net["out_b"].tolist(),
-            "running_mean": [m.tolist() for m in net["running_mean"]],
-            "running_var": [v.tolist() for v in net["running_var"]],
-        },
+        parameters=jsonable(net),
         metadata={"n_train": n, "epoch_losses": epoch_losses,
                   "trainable_parameters": trainable,
                   "non_trainable_parameters": non_trainable},

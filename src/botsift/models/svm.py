@@ -11,7 +11,7 @@ N(0, 2*gamma*I) and offsets from Uniform[0, 2*pi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -150,14 +150,7 @@ def train_svm(ds: Dataset, hp: SvmParams) -> ModelArtifact:
 
     return ModelArtifact(
         family="svm",
-        hyperparams={"kernel": hp.kernel, "degree": hp.degree,
-                     "gamma": hp.gamma, "rff_dim": hp.rff_dim,
-                     "alpha": hp.alpha, "penalty": hp.penalty,
-                     "l1_ratio": hp.l1_ratio, "epochs": hp.epochs,
-                     "eta0": hp.eta0,
-                     "weight_negative": hp.weight_negative,
-                     "weight_positive": hp.weight_positive,
-                     "seed": hp.seed},
+        hyperparams=asdict(hp),
         feature_names=list(ds.feature_names),
         standardization=std,
         parameters=parameters,

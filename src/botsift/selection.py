@@ -10,8 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import prf1, split_dataset
-from .models import predict, train_model
+from .evaluation import cross_scenario_eval, split_dataset
 from .windows import Dataset
 
 logger = logging.getLogger(__name__)
@@ -143,9 +142,8 @@ class SelectionTrace:
 
 
 def _subset_f1(train: Dataset, test: Dataset, names, family, hp) -> float:
-    artifact = train_model(family, train.select_features(names), hp)
-    _, pred = predict(artifact, test.select_features(names).rows)
-    return prf1(test.labels, pred).f1
+    return cross_scenario_eval(train.select_features(names),
+                               test.select_features(names), family, hp).f1
 
 
 def backward_elimination(ds: Dataset, family: str, hp, seed: int,

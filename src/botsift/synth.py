@@ -121,15 +121,10 @@ def _background_flow(rng: np.random.Generator, offset: float,
 
 
 def _portscan_flows(rng: np.random.Generator, cfg: SynthConfig,
-                    src_addr: str, target: str, label: str,
-                    noise_label: str, dst_pool) -> list:
+                    src_addr: str, target: str, n_scan: int) -> list:
     """Bursts of short probe flows, each burst hitting many distinct
     destination ports within one stride slot."""
-    total = max(1, round(cfg.botnet_flow_rate * cfg.duration / 60.0))
-    n_noise = int(round(total * cfg.noise))
-    n_scan = total - n_noise
     flows = []
-
     n_bursts = max(1, round(n_scan / cfg.burst_size))
     for _ in range(n_bursts):
         burst_start = float(rng.uniform(0.0, cfg.duration - 45.0))
@@ -147,22 +142,14 @@ def _portscan_flows(rng: np.random.Generator, cfg: SynthConfig,
                 dir="->", dst_addr=target, dport=str(int(ports[j])),
                 state="S_RA", s_tos=0, d_tos=0, tot_pkts=1,
                 tot_bytes=tot_bytes, src_bytes=tot_bytes,
-                label=label))
-    for _ in range(n_noise):
-        offset = float(rng.uniform(0.0, cfg.duration))
-        flows.append(_background_flow(rng, offset, src_addr, dst_pool,
-                                      noise_label))
+                label="flow=From-Botnet-Synth-V1-TCP-PortScan"))
     return flows
 
 
 def _beacon_flows(rng: np.random.Generator, cfg: SynthConfig,
-                  src_addr: str, target: str, label: str,
-                  noise_label: str, dst_pool) -> list:
+                  src_addr: str, target: str, n_beacon: int) -> list:
     """Fixed-port check-ins at a regular period with small jitter and
     near-constant durations."""
-    total = max(1, round(cfg.botnet_flow_rate * cfg.duration / 60.0))
-    n_noise = int(round(total * cfg.noise))
-    n_beacon = total - n_noise
     period = cfg.duration / max(1, n_beacon)
     phase = float(rng.uniform(0.0, period))
     flows = []
@@ -177,11 +164,8 @@ def _beacon_flows(rng: np.random.Generator, cfg: SynthConfig,
             src_addr=src_addr, sport=str(int(rng.integers(1024, 65536))),
             dir="<->", dst_addr=target, dport="6667", state="SPA_SPA",
             s_tos=0, d_tos=0, tot_pkts=6, tot_bytes=tot_bytes,
-            src_bytes=tot_bytes // 2, label=label))
-    for _ in range(n_noise):
-        offset = float(rng.uniform(0.0, cfg.duration))
-        flows.append(_background_flow(rng, offset, src_addr, dst_pool,
-                                      noise_label))
+            src_bytes=tot_bytes // 2,
+            label="flow=From-Botnet-Synth-V1-TCP-CC-Beacon"))
     return flows
 
 
@@ -205,20 +189,19 @@ def generate_scenario(cfg: SynthConfig) -> FlowTable:
                                                 p=weights))]
         flows.append(_background_flow(rng, offset, src, dst_pool))
 
-    scan_label = "flow=From-Botnet-Synth-V1-TCP-PortScan"
-    beacon_label = "flow=From-Botnet-Synth-V1-TCP-CC-Beacon"
-    noise_label = "flow=From-Botnet-Synth-V1-Background-Noise"
+    behavior_flows = (_portscan_flows if cfg.botnet_behavior == "port-scan"
+                      else _beacon_flows)
+    total = max(1, round(cfg.botnet_flow_rate * cfg.duration / 60.0))
+    n_noise = int(round(total * cfg.noise))
     for b in range(cfg.n_botnet_sources):
         src = f"10.10.10.{b + 1}"
         target = dst_pool[int(rng.integers(0, len(dst_pool)))]
-        if cfg.botnet_behavior == "port-scan":
-            flows.extend(_portscan_flows(rng, cfg, src, target,
-                                         scan_label, noise_label,
-                                         dst_pool))
-        else:
-            flows.extend(_beacon_flows(rng, cfg, src, target,
-                                       beacon_label, noise_label,
-                                       dst_pool))
+        flows.extend(behavior_flows(rng, cfg, src, target, total - n_noise))
+        for _ in range(n_noise):
+            offset = float(rng.uniform(0.0, cfg.duration))
+            flows.append(_background_flow(
+                rng, offset, src, dst_pool,
+                "flow=From-Botnet-Synth-V1-Background-Noise"))
 
     flows.sort(key=lambda r: (r.start_time, r.src_addr, r.dst_addr,
                               r.dport or "", r.sport or ""))

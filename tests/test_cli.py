@@ -203,6 +203,11 @@ class TestEval:
                      "--runs", "2", "--hp", "n-trees=10"]) == 0
         assert "x2" in capsys.readouterr().out
 
+    def test_bootstrap_eval_rejects_factor_zero(self, features_csv, capsys):
+        assert main(["bootstrap-eval", str(features_csv), "--factor", "0",
+                     "--runs", "1", "--hp", "n-trees=2"]) == 1
+        assert "factor" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_and_best(self, features_csv, tmp_path, capsys):

