@@ -99,8 +99,8 @@ def report(table: reports.Table, args, *lines) -> int:
 
 
 def cmd_summarize(args) -> int:
-    table = flows.load_scenario(args.flows)
     echo_config(args)
+    table = flows.load_scenario(args.flows)
     stats = table.parse_stats
     print(f"rows accepted: {stats.accepted}")
     print(f"rows rejected: {stats.rejected}")

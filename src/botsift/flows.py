@@ -7,9 +7,10 @@ Label), then one flow per line. Parsing is total: every data row either
 becomes a flow of the columnar FlowTable or a counted rejection with a
 reason code.
 
-`load_scenario` decodes each chunk of rows one column at a time and sends
-every row it cannot prove valid that way through `parse_flow_record`, the
-per-row parser, which decides the row's values or its reason code.
+`load_scenario` decodes each chunk of rows one column at a time, by the
+rules of `_CELL_RULES`; this column decoder is the only producer of flow
+values. A row it rejects is named by `_reason`, which runs the same rules
+on that row alone and reports the first that fails.
 """
 
 from __future__ import annotations
@@ -56,32 +57,12 @@ _MAX_REJECTION_SAMPLES = 10
 
 
 class FlowParseError(ValueError):
-    """A data row that cannot become a valid FlowRecord. Carries a reason code."""
+    """A cell that its rule in `_CELL_RULES` refuses, parse_timestamp
+    being the rule of StartTime. Carries the row's reason code."""
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
         super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One bidirectional NetFlow row."""
-
-    start_time: datetime
-    dur: float
-    proto: str
-    src_addr: str
-    sport: Optional[str]
-    dir: str
-    dst_addr: str
-    dport: Optional[str]
-    state: Optional[str]
-    s_tos: Optional[int]
-    d_tos: Optional[int]
-    tot_pkts: int
-    tot_bytes: int
-    src_bytes: int
-    label: str
 
 
 @dataclass
@@ -106,6 +87,15 @@ class StringColumn:
 
     values: tuple
     codes: np.ndarray
+
+    @classmethod
+    def of(cls, values: Sequence[str]) -> "StringColumn":
+        """The column holding values, in order."""
+        distinct = sorted(set(values))
+        position = dict(zip(distinct, count()))
+        codes = np.fromiter(map(position.__getitem__, values), np.int32,
+                            len(values))
+        return cls(tuple(distinct), codes)
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.codes, minlength=len(self.values))
@@ -165,16 +155,6 @@ class FlowTable:
         far = np.flatnonzero(np.abs(delta) > 2**53)
         seconds[far] = [d / 10**6 for d in delta[far].tolist()]
         return seconds
-
-    @classmethod
-    def from_records(cls, records: Sequence[FlowRecord],
-                     source_path: str = None,
-                     parse_stats: ParseStats = None) -> "FlowTable":
-        """The records as columns, in order; an absent optional value
-        reads ABSENT."""
-        builder = _TableBuilder()
-        builder.chunks.append(builder.record_columns(records))
-        return builder.table(source_path, parse_stats)
 
 
 @dataclass
@@ -277,8 +257,8 @@ def _required(reason: str):
     return rule
 
 
-def _optional(cell: str) -> Optional[str]:
-    return cell.strip() or None
+def _optional(cell: str) -> str:
+    return cell.strip() or ABSENT
 
 
 def _label(cell: str) -> str:
@@ -288,21 +268,25 @@ def _label(cell: str) -> str:
     return label
 
 
-def _type_of_service(cell: str) -> Optional[int]:
+def _type_of_service(cell: str) -> str:
+    """The text of the ToS byte's integer value, ABSENT for an empty
+    cell."""
     cell = cell.strip()
     if not cell:
-        return None
+        return ABSENT
     try:
-        return int(_number(cell))
+        return str(int(_number(cell)))
     except (ValueError, OverflowError) as exc:
         raise FlowParseError("bad_tos", cell) from exc
 
 
-# Per canonical column, in the order parse_flow_record checks them: the
-# FlowRecord field it fills, and the rule that gives the field's value of
-# a cell or raises FlowParseError. _decode_columns applies the rules of
-# the text columns to each distinct cell, and decodes the others with
-# numpy.
+# Per canonical column, in the order _reason checks them: the FlowTable
+# column it fills, and the rule that gives a cell's value or raises
+# FlowParseError with the row's reason code. A text column's value is its
+# FlowTable string. _decode_columns applies the rules of the text columns
+# to each distinct cell and decodes the others with numpy; _reason
+# applies them all to one rejected row, checking SrcBytes against
+# TotBytes right after SrcBytes.
 _CELL_RULES = (
     ("StartTime", "start_time", parse_timestamp),
     ("Dur", "dur", _duration),
@@ -322,16 +306,11 @@ _CELL_RULES = (
 )
 
 
-def _column_text(value) -> str:
-    """A FlowRecord text value as its FlowTable string."""
-    return ABSENT if value is None else str(value)
-
-
 def _cell_text(rule, cell: str) -> Optional[str]:
     """The FlowTable string of cell under rule, None where the rule
     rejects it."""
     try:
-        return _column_text(rule(cell))
+        return rule(cell)
     except FlowParseError:
         return None
 
@@ -356,28 +335,6 @@ def build_header_map(header: Sequence[str]) -> dict:
     if missing:
         raise ValueError(f"header is missing canonical columns: {missing}")
     return {name: positions[name] for name in CANONICAL_COLUMNS}
-
-
-def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
-    """Parse one CSV data row into a FlowRecord.
-
-    Raises FlowParseError (with a reason code) for rows violating the record
-    invariants; callers count these rather than aborting.
-    """
-    try:
-        cells = {name: row[idx] for name, idx in header_map.items()}
-    except IndexError as exc:
-        raise FlowParseError("short_row", f"{len(row)} cells") from exc
-    if not _is_utf8("".join(cells.values())):
-        raise FlowParseError("bad_encoding")
-
-    values = {}
-    for column, name, rule in _CELL_RULES:
-        values[name] = rule(cells[column])
-        if name == "src_bytes" and values[name] > values["tot_bytes"]:
-            raise FlowParseError("src_bytes_exceed_total",
-                                 f"{values[name]} > {values['tot_bytes']}")
-    return FlowRecord(**values)
 
 
 _NUMERIC = ("t_us", "dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -410,9 +367,9 @@ class _TableBuilder:
                            len(values))
 
     def cell_ids(self, column: str, cells: Sequence[str], rule):
-        """Per cell, the id of its value under rule, or -1 where
-        parse_flow_record would reject the cell. A valid cell text is
-        decoded once per load."""
+        """Per cell, the id of its value under rule, or -1 where the rule
+        or the UTF-8 check rejects the cell. A valid cell text is decoded
+        once per load."""
         ids, known = self.ids[column], self.values[column]
         codes = np.fromiter(map(ids.get, cells, repeat(-1)), np.int32,
                             len(cells))
@@ -435,21 +392,6 @@ class _TableBuilder:
                                         np.int32, len(cells))
         return codes
 
-    def record_columns(self, records: Sequence[FlowRecord]) -> dict:
-        """The columns of FlowRecords, strings as ids; an absent optional
-        value reads ABSENT."""
-        n = len(records)
-        out = {"t_us": np.fromiter(
-            ((r.start_time - _EPOCH) // _ONE_US for r in records), np.int64,
-            n)}
-        for name in NUMERIC_SUMMARY_COLUMNS:
-            out[name] = np.fromiter(
-                (getattr(r, name) for r in records), np.float64, n)
-        for name in CATEGORICAL_SUMMARY_COLUMNS:
-            out[name] = self.ids_of(name, [_column_text(getattr(r, name))
-                                           for r in records])
-        return out
-
     def table(self, source_path, parse_stats) -> FlowTable:
         columns = {}
         for name in _NUMERIC + CATEGORICAL_SUMMARY_COLUMNS:
@@ -468,8 +410,8 @@ class _TableBuilder:
                          parse_stats=parse_stats)
 
 
-# The fixed-width timestamp the column decoder reads; any other form is
-# left to parse_timestamp.
+# The fixed-width timestamp the column decoder reads with numpy; any
+# other cell is read by parse_timestamp on its own.
 _STAMP = "0000/00/00 00:00:00.000000"
 _STAMP_SEPARATORS = [i for i, c in enumerate(_STAMP) if c != "0"]
 _STAMP_DIGITS = [i for i, c in enumerate(_STAMP) if c == "0"]
@@ -481,16 +423,17 @@ def _stamp_field(digits: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _timestamps(cells: Sequence[str]) -> tuple:
-    """(µs since 1970-01-01, valid): the cells of the form _STAMP that
-    name a real time, decoded; other cells are not valid and read
-    garbage."""
+    """(µs since 1970-01-01, valid): each cell as parse_timestamp reads
+    it, and whether it accepts the cell; a cell it refuses reads
+    garbage. Cells of the form _STAMP are decoded together."""
     n = len(cells)
     valid = np.fromiter(map(len, cells), np.intp, n) == len(_STAMP)
+    stamps = cells
     if not valid.all():
-        cells = [c if ok else _STAMP for c, ok in zip(cells, valid.tolist())]
+        stamps = [c if ok else _STAMP for c, ok in zip(cells, valid.tolist())]
     # 'replace' keeps one byte per character, so a non-ASCII cell stays
     # 26 bytes wide and fails the character checks
-    raw = np.frombuffer("".join(cells).encode("ascii", "replace"),
+    raw = np.frombuffer("".join(stamps).encode("ascii", "replace"),
                         np.uint8).reshape(n, len(_STAMP))
     digits = raw - ord("0")  # uint8: a byte below '0' wraps above 9
     valid &= (raw[:, _STAMP_SEPARATORS]
@@ -507,7 +450,14 @@ def _timestamps(cells: Sequence[str]) -> tuple:
     after = (months + 1).astype("M8[M]").astype("M8[D]").astype(np.int64)
     valid &= day <= after - first
     seconds = ((first + day - 1) * 24 + hour) * 3600 + minute * 60 + second
-    return seconds * 1_000_000 + _stamp_field(digits, 20, 26), valid
+    t_us = seconds * 1_000_000 + _stamp_field(digits, 20, 26)
+    for i in np.flatnonzero(~valid).tolist():
+        try:
+            t_us[i] = (parse_timestamp(cells[i]) - _EPOCH) // _ONE_US
+        except FlowParseError:
+            continue
+        valid[i] = True
+    return t_us, valid
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
@@ -527,8 +477,10 @@ def _floats(cells: Sequence[str]) -> np.ndarray:
 
 def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
     """The columns of rows given as canonical column -> cells, and which
-    rows they prove valid. A valid row's values are those
-    parse_flow_record gives; the other rows' values are garbage."""
+    rows are valid: those whose every cell passes its rule in _CELL_RULES,
+    with SrcBytes at most TotBytes and all text UTF-8. A valid row's
+    values are those the rules give; the other rows' values are
+    garbage."""
     t_us, valid = _timestamps(cells["StartTime"])
     out = {"t_us": t_us, "dur": _floats(cells["Dur"])}
     valid &= np.isfinite(out["dur"]) & (out["dur"] >= 0)
@@ -568,13 +520,34 @@ def _chunk(reader) -> list:
             rows.append(_UNREADABLE)
 
 
+def _reason(row: list, header_map: dict) -> str:
+    """The reason code of a row that _decode_columns rejects, that of the
+    first check it fails: cell_too_long for _UNREADABLE, short_row,
+    bad_encoding, then the rules in order. A row that fails none was
+    rejected in error: a bug, raised as such."""
+    if row is _UNREADABLE:
+        return "cell_too_long"
+    if len(row) <= max(header_map.values()):
+        return "short_row"
+    cells = {column: row[i] for column, i in header_map.items()}
+    if not _is_utf8("".join(cells.values())):
+        return "bad_encoding"
+    values = {}
+    for column, _, rule in _CELL_RULES:
+        try:
+            values[column] = rule(cells[column])
+        except FlowParseError as exc:
+            return exc.reason
+        if column == "SrcBytes" and values["SrcBytes"] > values["TotBytes"]:
+            return "src_bytes_exceed_total"
+    raise RuntimeError(f"the column decoder rejected a valid row: {row!r}")
+
+
 def _load_chunk(rows: list, first_row: int, header_map: dict,
                 builder: _TableBuilder, stats: ParseStats, name: str):
     """Adds the accepted flows of up to CHUNK_ROWS consecutive data rows,
     the first numbered first_row, to builder, and tallies the rest."""
     n = len(rows)
-    columns = {key: np.zeros(n, _DTYPES.get(key, np.int32))
-               for key in _NUMERIC + CATEGORICAL_SUMMARY_COLUMNS}
     accepted = np.zeros(n, bool)
     width = np.fromiter(map(len, rows), np.intp, n)
     whole = np.flatnonzero(width > max(header_map.values()))
@@ -584,40 +557,25 @@ def _load_chunk(rows: list, first_row: int, header_map: dict,
         cells = list(zip(*[rows[i] for i in whole.tolist()]))
         decoded, valid = _decode_columns(
             {column: cells[i] for column, i in header_map.items()}, builder)
-        for key, values in decoded.items():
-            columns[key][whole] = values
+        builder.chunks.append({key: values[valid]
+                               for key, values in decoded.items()})
         accepted[whole[valid]] = True
-
-    positions, records = [], []
+    stats.accepted += int(accepted.sum())
     for i in np.flatnonzero(~accepted).tolist():
-        row = rows[i]
-        if not row:
-            continue
-        try:
-            if row is _UNREADABLE:
-                raise FlowParseError("cell_too_long")
-            records.append(parse_flow_record(row, header_map))
-            positions.append(i)
-        except FlowParseError as exc:
-            stats.record_rejection(first_row + i, exc.reason)
+        if rows[i]:  # a blank line is no row
+            reason = _reason(rows[i], header_map)
+            stats.record_rejection(first_row + i, reason)
             if stats.rejected <= _MAX_REJECTION_SAMPLES:
                 logger.warning("%s row %d rejected (%s)",
-                               name, first_row + i, exc.reason)
-    if records:
-        for key, values in builder.record_columns(records).items():
-            columns[key][positions] = values
-        accepted[positions] = True
-    stats.accepted += int(accepted.sum())
-    builder.chunks.append({key: values[accepted]
-                           for key, values in columns.items()})
+                               name, first_row + i, reason)
 
 
 def load_scenario(path) -> FlowTable:
     """Parse a binetflow CSV file, read as UTF-8, into a FlowTable.
 
-    Rows are decoded CHUNK_ROWS at a time, column by column; a row that
-    this does not prove valid goes through parse_flow_record, so values,
-    reason codes and row numbers are those of parsing row by row.
+    Rows are decoded CHUNK_ROWS at a time, column by column; a rejected
+    row is counted under the reason _reason gives it and its 1-based
+    data row number.
 
     Fatal on a missing file or a header lacking any canonical column;
     malformed data rows are counted and skipped.

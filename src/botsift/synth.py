@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields as dataclass_fields
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
-from .flows import FlowRecord, FlowTable
+from .flows import _EPOCH, _ONE_US, ABSENT, FlowTable, StringColumn
 
 BASE_TIME = datetime(2011, 8, 10, 9, 0, 0)
+_BASE_US = (BASE_TIME - _EPOCH) // _ONE_US
 
 BEHAVIORS = ("port-scan", "beacon")
 
@@ -70,8 +71,13 @@ def load_synth_config(path) -> SynthConfig:
     return SynthConfig(**data)
 
 
-def _timestamp(offset: float) -> datetime:
-    return BASE_TIME + timedelta(microseconds=round(offset * 1e6))
+# A flow is a tuple of its FlowTable values in field order: t_us, dur,
+# tot_pkts, tot_bytes, src_bytes, proto, src_addr, sport, dir, dst_addr,
+# dport, state, s_tos, d_tos, label.
+
+
+def _t_us(offset: float) -> int:
+    return _BASE_US + round(offset * 1e6)
 
 
 def _background_numeric(rng: np.random.Generator):
@@ -91,14 +97,13 @@ BACKGROUND_LABELS = {"tcp": "flow=Background-TCP-Established",
 
 
 def _background_flow(rng: np.random.Generator, offset: float,
-                     src_addr: str, dst_pool,
-                     label: str = None) -> FlowRecord:
+                     src_addr: str, dst_pool, label: str = None) -> tuple:
     """One background-shaped flow; label defaults to the per-protocol
     background tag but can be overridden (botnet noise traffic)."""
     proto_draw = rng.random()
     dur, tot_bytes, src_bytes, tot_pkts = _background_numeric(rng)
     if proto_draw < 0.05:
-        proto, sport, dport = "icmp", None, None
+        proto, sport, dport = "icmp", ABSENT, ABSENT
         state = "ECO"
         direction = "->"
     else:
@@ -110,14 +115,10 @@ def _background_flow(rng: np.random.Generator, offset: float,
                  if proto == "tcp"
                  else UDP_STATES[int(rng.integers(0, len(UDP_STATES)))])
         direction = "<->"
-    return FlowRecord(
-        start_time=_timestamp(offset), dur=dur, proto=proto,
-        src_addr=src_addr, sport=sport, dir=direction,
-        dst_addr=dst_pool[int(rng.integers(0, len(dst_pool)))],
-        dport=dport, state=state, s_tos=0, d_tos=0,
-        tot_pkts=int(tot_pkts), tot_bytes=int(tot_bytes),
-        src_bytes=int(src_bytes),
-        label=label if label is not None else BACKGROUND_LABELS[proto])
+    dst_addr = dst_pool[int(rng.integers(0, len(dst_pool)))]
+    return (_t_us(offset), dur, tot_pkts, tot_bytes, src_bytes, proto,
+            src_addr, sport, direction, dst_addr, dport, state, "0", "0",
+            label if label is not None else BACKGROUND_LABELS[proto])
 
 
 def _portscan_flows(rng: np.random.Generator, cfg: SynthConfig,
@@ -135,14 +136,11 @@ def _portscan_flows(rng: np.random.Generator, cfg: SynthConfig,
             dur = float(rng.uniform(0.0004, 0.004))
             # bare SYN probes: tiny fixed-size single-packet flows
             tot_bytes = int(rng.integers(40, 61))
-            flows.append(FlowRecord(
-                start_time=_timestamp(offset), dur=dur, proto="tcp",
-                src_addr=src_addr, sport=str(int(rng.integers(1024,
-                                                              65536))),
-                dir="->", dst_addr=target, dport=str(int(ports[j])),
-                state="S_RA", s_tos=0, d_tos=0, tot_pkts=1,
-                tot_bytes=tot_bytes, src_bytes=tot_bytes,
-                label="flow=From-Botnet-Synth-V1-TCP-PortScan"))
+            sport = str(int(rng.integers(1024, 65536)))
+            flows.append((
+                _t_us(offset), dur, 1, tot_bytes, tot_bytes, "tcp",
+                src_addr, sport, "->", target, str(int(ports[j])), "S_RA",
+                "0", "0", "flow=From-Botnet-Synth-V1-TCP-PortScan"))
     return flows
 
 
@@ -159,13 +157,11 @@ def _beacon_flows(rng: np.random.Generator, cfg: SynthConfig,
         offset = max(0.0, offset)
         dur = max(0.0, float(rng.normal(2.0, 0.05)))
         tot_bytes = int(rng.integers(280, 330))
-        flows.append(FlowRecord(
-            start_time=_timestamp(offset), dur=dur, proto="tcp",
-            src_addr=src_addr, sport=str(int(rng.integers(1024, 65536))),
-            dir="<->", dst_addr=target, dport="6667", state="SPA_SPA",
-            s_tos=0, d_tos=0, tot_pkts=6, tot_bytes=tot_bytes,
-            src_bytes=tot_bytes // 2,
-            label="flow=From-Botnet-Synth-V1-TCP-CC-Beacon"))
+        sport = str(int(rng.integers(1024, 65536)))
+        flows.append((
+            _t_us(offset), dur, 6, tot_bytes, tot_bytes // 2, "tcp",
+            src_addr, sport, "<->", target, "6667", "SPA_SPA", "0", "0",
+            "flow=From-Botnet-Synth-V1-TCP-CC-Beacon"))
     return flows
 
 
@@ -203,6 +199,16 @@ def generate_scenario(cfg: SynthConfig) -> FlowTable:
                 rng, offset, src, dst_pool,
                 "flow=From-Botnet-Synth-V1-Background-Noise"))
 
-    flows.sort(key=lambda r: (r.start_time, r.src_addr, r.dst_addr,
-                              r.dport or "", r.sport or ""))
-    return FlowTable.from_records(flows)
+    flows.sort(key=_order)
+    columns = list(zip(*flows))
+    return FlowTable(np.array(columns[0], np.int64),
+                     *(np.array(c, np.float64) for c in columns[1:5]),
+                     *map(StringColumn.of, columns[5:]))
+
+
+def _order(flow: tuple) -> tuple:
+    """Start time, source, destination, destination port, source port;
+    an absent port sorts as ''."""
+    (t_us, _, _, _, _, _, src_addr, sport, _, dst_addr, dport, *_) = flow
+    return (t_us, src_addr, dst_addr, "" if dport == ABSENT else dport,
+            "" if sport == ABSENT else sport)

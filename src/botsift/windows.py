@@ -44,10 +44,10 @@ class WindowConfig:
     origin: Optional[datetime] = None
 
     def __post_init__(self):
-        if not (0 < self.stride <= self.width):
+        if not (0 < self.stride <= self.width and math.isfinite(self.stride)):
             raise ValueError(
-                f"need 0 < stride <= width, got stride={self.stride} "
-                f"width={self.width}")
+                f"need 0 < stride <= width and a finite stride, got "
+                f"stride={self.stride} width={self.width}")
 
 
 @dataclass

@@ -1,22 +1,105 @@
 """Reference parsing for tests: one csv row at a time.
 
-`load` is the straightforward version of `botsift.flows.load_scenario`:
-every row of `csv.reader` goes through `parse_flow_record` on its own,
-and the accepted FlowRecords become a table at the end. The program's
-column-wise parse must reproduce it: the same tally, the same sample rows
-and the same columns bit for bit.
+`parse_flow_record` parses one data row into a `FlowRecord`, applying the
+rules of `botsift.flows._CELL_RULES` in order and raising
+`FlowParseError` at the first that fails. `load` is the straightforward
+version of `botsift.flows.load_scenario`: every row of `csv.reader` goes
+through `parse_flow_record` on its own, and `table` turns the accepted
+records into a FlowTable column by column, with none of the program's
+table-building code. The program's column decoder must reproduce it: the
+same tally, the same sample rows and the same columns bit for bit.
 """
 
 import csv
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta
+from typing import Optional, Sequence
 
 import numpy as np
 
-from botsift.flows import (ABSENT, FlowParseError, FlowRecord,
-                           FlowTable, ParseStats, StringColumn,
-                           build_header_map, parse_flow_record)
+from botsift.flows import (_CELL_RULES, ABSENT, FlowParseError, FlowTable,
+                           ParseStats, StringColumn, build_header_map)
 
 OPTIONAL = ("sport", "dport", "state", "s_tos", "d_tos")
+TEXT = ("proto", "src_addr", "sport", "dir", "dst_addr", "dport", "state",
+        "s_tos", "d_tos", "label")
+EPOCH = datetime(1970, 1, 1)
+
+
+@dataclass(frozen=True, slots=True)
+class FlowRecord:
+    """One bidirectional NetFlow row; an empty optional cell is None."""
+
+    start_time: datetime
+    dur: float
+    proto: str
+    src_addr: str
+    sport: Optional[str]
+    dir: str
+    dst_addr: str
+    dport: Optional[str]
+    state: Optional[str]
+    s_tos: Optional[int]
+    d_tos: Optional[int]
+    tot_pkts: int
+    tot_bytes: int
+    src_bytes: int
+    label: str
+
+
+def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
+    """Parse one CSV data row into a FlowRecord.
+
+    Raises FlowParseError with the reason code of the first check the row
+    fails: short_row, bad_encoding, then each rule in order, with
+    src_bytes_exceed_total right after SrcBytes.
+    """
+    try:
+        cells = {name: row[idx] for name, idx in header_map.items()}
+    except IndexError as exc:
+        raise FlowParseError("short_row", f"{len(row)} cells") from exc
+    try:
+        "".join(cells.values()).encode()
+    except UnicodeEncodeError as exc:
+        raise FlowParseError("bad_encoding") from exc
+
+    values = {}
+    for column, name, rule in _CELL_RULES:
+        values[name] = rule(cells[column])
+        if name == "src_bytes" and values[name] > values["tot_bytes"]:
+            raise FlowParseError("src_bytes_exceed_total",
+                                 f"{values[name]} > {values['tot_bytes']}")
+    for name in OPTIONAL:  # the rules give FlowTable strings
+        if values[name] == ABSENT:
+            values[name] = None
+        elif name in ("s_tos", "d_tos"):
+            values[name] = int(values[name])
+    return FlowRecord(**values)
+
+
+def table(records: Sequence[FlowRecord], source_path: str = None,
+          stats: ParseStats = None) -> FlowTable:
+    """The records as a FlowTable, in order; an absent optional value
+    reads ABSENT and a ToS byte the text of its value."""
+    def strings(name):
+        values = [ABSENT if v is None else str(v)
+                  for v in (getattr(r, name) for r in records)]
+        distinct = sorted(set(values))
+        position = {v: i for i, v in enumerate(distinct)}
+        return StringColumn(tuple(distinct),
+                            np.array([position[v] for v in values], np.int32))
+
+    def floats(name):
+        return np.array([getattr(r, name) for r in records], np.float64)
+
+    one_us = timedelta(microseconds=1)
+    return FlowTable(
+        t_us=np.array([(r.start_time - EPOCH) // one_us for r in records],
+                      np.int64),
+        **{name: floats(name)
+           for name in ("dur", "tot_pkts", "tot_bytes", "src_bytes")},
+        **{name: strings(name) for name in TEXT},
+        source_path=source_path, parse_stats=stats)
 
 
 def load(path) -> FlowTable:
@@ -43,7 +126,7 @@ def load(path) -> FlowTable:
                 stats.accepted += 1
             except FlowParseError as exc:
                 stats.record_rejection(row_number, exc.reason)
-    return FlowTable.from_records(records, str(path), stats)
+    return table(records, str(path), stats)
 
 
 def assert_same_columns(table: FlowTable, expected: FlowTable):

@@ -105,6 +105,12 @@ class TestSummarize:
         assert "dur: min=" in out
         assert "proto: " in out
 
+    def test_echoes_config_before_loading(self, tmp_path, capsys):
+        assert main(["summarize", str(tmp_path / "missing.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("effective config:")
+        assert "missing.csv" in captured.err
+
 
 @pytest.mark.parametrize("command", ["summarize", "train"])
 def test_report_does_not_depend_on_cpu_count(command, flows_csv,

@@ -13,12 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
+from flow_oracle import FlowRecord, parse_flow_record
 from botsift import flows
 from botsift.flows import (ABSENT, CANONICAL_COLUMNS, CHUNK_ROWS,
-                           FlowParseError, FlowRecord, FlowTable, ParseStats,
-                           build_header_map, format_timestamp,
-                           load_scenario, parse_flow_record,
-                           parse_timestamp, summarize, write_flow_csv)
+                           FlowParseError, ParseStats, build_header_map,
+                           format_timestamp, load_scenario, parse_timestamp,
+                           summarize, write_flow_csv)
 
 HEADER_MAP = build_header_map(CANONICAL_COLUMNS)
 
@@ -47,6 +47,23 @@ def make_row(**overrides):
 
 def parse(**overrides) -> FlowRecord:
     return parse_flow_record(make_row(**overrides), HEADER_MAP)
+
+
+def write_capture(path, rows):
+    with open(path, "w", newline="", encoding="utf-8",
+              errors="surrogateescape") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CANONICAL_COLUMNS)
+        writer.writerows(rows)
+
+
+def assert_load_rejects(path, row, reason):
+    """A capture of the one row loads as one rejection under reason."""
+    write_capture(path, [row])
+    stats = load_scenario(path).parse_stats
+    assert (stats.accepted, stats.rejected) == (0, 1)
+    assert stats.reason_counts == {reason: 1}
+    assert stats.samples == [(1, reason)]
 
 
 def test_parse_basic_row_maps_fields():
@@ -100,17 +117,37 @@ def test_timestamp_round_trip():
     ({"SrcBytes": "900"}, "src_bytes_exceed_total"),
     ({"Label": "Background"}, "bad_label"),
     ({"sTos": "x"}, "bad_tos"),
+    # two failed checks: the first in the order short_row, bad_encoding,
+    # then the cell rules, src_bytes_exceed_total right after SrcBytes
+    ({"StartTime": "10/08/2011T09:46:53", "Label": "Background"},
+     "bad_timestamp"),
+    ({"SrcBytes": "900", "Label": "Background"}, "src_bytes_exceed_total"),
+    ({"Label": "flow=x\udcff", "StartTime": "x"}, "bad_encoding"),
+    ({"Dur": "-1", "TotPkts": "0"}, "negative_duration"),
+    ({"TotBytes": "x", "SrcBytes": "-1"}, "bad_byte_count"),
+    ({"Label": "Background", "sTos": "x"}, "bad_label"),
+    ({"StartTime": " 2011/08/10 09:46:53", "DstAddr": ""},
+     "missing_dst_addr"),
 ])
-def test_rejection_reasons(overrides, reason):
+def test_rejection_reasons(tmp_path, overrides, reason):
     with pytest.raises(FlowParseError) as err:
         parse(**overrides)
     assert err.value.reason == reason
+    assert_load_rejects(tmp_path / "one.csv", make_row(**overrides), reason)
 
 
-def test_short_row_rejected():
+def test_short_row_rejected(tmp_path):
     with pytest.raises(FlowParseError) as err:
         parse_flow_record(["2011/08/10 09:46:53", "1"], HEADER_MAP)
     assert err.value.reason == "short_row"
+    assert_load_rejects(tmp_path / "one.csv", ["2011/08/10 09:46:53", "1"],
+                        "short_row")
+
+
+def test_reason_of_a_valid_row_is_a_program_error():
+    # the decoder rejected a row that passes every rule: never silent
+    with pytest.raises(RuntimeError, match="valid row"):
+        flows._reason(make_row(), HEADER_MAP)
 
 
 REASONS = {
@@ -159,13 +196,6 @@ def test_header_map_ignores_extra_columns_and_uses_positions():
     mapping = build_header_map(header)
     assert mapping["StartTime"] == 1
     assert "Extra" not in mapping
-
-
-def write_capture(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANONICAL_COLUMNS)
-        writer.writerows(rows)
 
 
 def test_load_scenario_counts_accepted_and_rejected(tmp_path):
@@ -281,12 +311,12 @@ def test_load_scenario_counts_bytes_that_are_not_utf8(tmp_path):
 
 def test_write_flow_csv_writes_utf8(tmp_path):
     path = tmp_path / "utf8.csv"
-    write_flow_csv(FlowTable.from_records([parse(Label="flow=Normal-\u00e9")]),
+    write_flow_csv(flow_oracle.table([parse(Label="flow=Normal-\u00e9")]),
                    path)
     assert "flow=Normal-\u00e9".encode() in path.read_bytes()
 
 
-# Cells that the column decoder must take or leave exactly as
+# Cells that the column decoder must take or leave exactly as the oracle's
 # parse_flow_record does; "\udcff" is written as the byte 0xff.
 STAMP_CELLS = [
     "2011/08/10 09:46:53.047277", "2011/08/10 09:46:53",
@@ -425,21 +455,19 @@ def test_round_trip_preserves_records(tmp_path):
         parse(StartTime="2011/08/10 09:46:53.1234567"),
     ]
     path = tmp_path / "roundtrip.csv"
-    write_flow_csv(FlowTable.from_records(originals), path)
+    write_flow_csv(flow_oracle.table(originals), path)
     table = load_scenario(path)
     assert table.parse_stats.rejected == 0
     assert flow_oracle.records(table) == originals
 
 
-def test_write_flow_csv_pads_years_below_1000(tmp_path, monkeypatch):
+def test_write_flow_csv_pads_years_below_1000(tmp_path):
     early = parse(StartTime="0005/01/01 00:00:00.000000")
     path = tmp_path / "year5.csv"
-    write_flow_csv(FlowTable.from_records([early]), path)
+    write_flow_csv(flow_oracle.table([early]), path)
     with open(path, newline="", encoding="utf-8") as fh:
         cells = list(csv.reader(fh))[1]
     assert cells[0] == "0005/01/01 00:00:00.000000"
-    # the column decoder takes the row: the per-row parser is not called
-    monkeypatch.setattr(flows, "parse_flow_record", None)
     table = load_scenario(path)
     assert (table.parse_stats.accepted, table.parse_stats.rejected) == (1, 0)
     assert flow_oracle.records(table) == [early]
@@ -448,15 +476,15 @@ def test_write_flow_csv_pads_years_below_1000(tmp_path, monkeypatch):
 def test_serialize_uses_exact_duration(tmp_path):
     rec = parse(Dur="0.1")
     path = tmp_path / "dur.csv"
-    write_flow_csv(FlowTable.from_records([rec]), path)
+    write_flow_csv(flow_oracle.table([rec]), path)
     with open(path, newline="") as fh:
         cells = list(csv.reader(fh))[1]
     assert float(cells[1]) == rec.dur
 
 
 def make_table(records):
-    return FlowTable.from_records(records, "test",
-                                  ParseStats(accepted=len(records)))
+    return flow_oracle.table(records, "test",
+                             ParseStats(accepted=len(records)))
 
 
 def test_summarize_single_record():

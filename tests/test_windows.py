@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flow_oracle
 import window_oracle
+from flow_oracle import FlowRecord
 from botsift.cli import main
-from botsift.flows import ABSENT, FlowRecord, FlowTable, ParseStats
+from botsift.flows import ABSENT, ParseStats
 from botsift.windows import (FEATURE_NAMES, Dataset, WindowConfig,
                              build_dataset, load_features,
                              normalized_entropy, resolve_origin,
@@ -34,8 +36,8 @@ def flow(offset=0.0, src="10.0.0.1", dst="10.0.0.2", sport="1024",
 
 
 def table(records):
-    return FlowTable.from_records(records, "mem",
-                                  ParseStats(accepted=len(records)))
+    return flow_oracle.table(records, "mem",
+                             ParseStats(accepted=len(records)))
 
 
 DEFAULTS = WindowConfig()
@@ -97,6 +99,8 @@ def test_window_config_validation():
         WindowConfig(width=60.0, stride=120.0)
     with pytest.raises(ValueError):
         WindowConfig(stride=0.0)
+    with pytest.raises(ValueError):
+        WindowConfig(width=math.inf, stride=math.inf)
 
 
 def test_resolve_origin_earliest_start():
