@@ -22,9 +22,8 @@ import numpy as np
 from . import flows, reports, selection, synth, windows
 from .evaluation import (cross_scenario_eval, hyperparam_sweep,
                          repeated_eval)
-from .models import TRAINERS, load_artifact, make_params, train_model
+from .models import FAMILIES, load_artifact, make_params, train_model
 
-FAMILIES = tuple(TRAINERS)
 DEFAULT_SEED = 42
 
 
@@ -72,13 +71,6 @@ def resolved_params(family: str, hp_pairs, seed) -> object:
     overrides = parse_hp(hp_pairs)
     overrides.setdefault("seed", seed)
     return make_params(family, overrides)
-
-
-def load_features(path: str) -> windows.Dataset:
-    ds = windows.load_features(path)
-    if ds.n == 0:
-        raise ValueError(f"no feature rows in {path}")
-    return ds
 
 
 def dataset_name(ds: windows.Dataset, path: str) -> str:
@@ -138,7 +130,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     hp = resolved_params(args.model, args.hp, args.seed)
     echo_config(args, {"resolved_hyperparams": hp})
-    ds = load_features(args.features)
+    ds = windows.load_features(args.features)
     artifact = train_model(args.model, ds, hp)
     artifact.save(args.out)
     print(f"trained {args.model} on {ds.n} rows; wrote {args.out}")
@@ -150,7 +142,7 @@ def cmd_eval(args) -> int:
     hp = make_params(artifact.family, dict(artifact.hyperparams))
     echo_config(args, {"family": artifact.family,
                        "resolved_hyperparams": hp})
-    ds = load_features(args.features)
+    ds = windows.load_features(args.features)
     rm = repeated_eval(ds, artifact.family, hp, args.runs, args.seed,
                        args.train_frac)
     name = dataset_name(ds, args.features)
@@ -173,7 +165,7 @@ def cmd_sweep(args) -> int:
     for p in points:
         p.setdefault("seed", args.seed)
     echo_config(args, {"grid_points": len(points)})
-    ds = load_features(args.features)
+    ds = windows.load_features(args.features)
     sweep = hyperparam_sweep(ds, args.model, points, args.runs,
                              args.seed, args.train_frac)
     title = (f"sweep {args.model} on {dataset_name(ds, args.features)}: "
@@ -188,8 +180,8 @@ def cmd_sweep(args) -> int:
 def cmd_crossscen(args) -> int:
     hp = resolved_params(args.model, args.hp, args.seed)
     echo_config(args, {"resolved_hyperparams": hp})
-    train_ds = load_features(args.train)
-    test_ds = load_features(args.test)
+    train_ds = windows.load_features(args.train)
+    test_ds = windows.load_features(args.test)
     metrics = cross_scenario_eval(train_ds, test_ds, args.model, hp)
     train_name = dataset_name(train_ds, args.train)
     test_name = dataset_name(test_ds, args.test)
@@ -202,7 +194,7 @@ def cmd_crossscen(args) -> int:
 def cmd_bootstrap_eval(args) -> int:
     hp = resolved_params(args.model, args.hp, args.seed)
     echo_config(args, {"resolved_hyperparams": hp})
-    ds = load_features(args.features)
+    ds = windows.load_features(args.features)
     name = dataset_name(ds, args.features)
     rm = repeated_eval(ds, args.model, hp, args.runs, args.seed,
                        args.train_frac, bootstrap_factor=args.factor)
@@ -213,7 +205,7 @@ def cmd_bootstrap_eval(args) -> int:
 
 def cmd_select(args) -> int:
     echo_config(args)
-    ds = load_features(args.features)
+    ds = windows.load_features(args.features)
     name = dataset_name(ds, args.features)
     lines = []
     if args.method == "filter":

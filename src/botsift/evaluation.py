@@ -52,8 +52,7 @@ def prf1(y_true, y_pred) -> Metrics:
 def split_dataset(ds: Dataset, train_frac: float, seed: int):
     """Uniform random partition; train side gets floor(train_frac * n)
     rows. Both sides keep row order and feature names."""
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must lie strictly between 0 and 1")
+    _check_train_frac(train_frac)
     n_train = int(train_frac * ds.n)
     if n_train == 0 or n_train == ds.n:
         raise ValueError(
@@ -62,6 +61,16 @@ def split_dataset(ds: Dataset, train_frac: float, seed: int):
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     return ds.subset(train_idx), ds.subset(test_idx)
+
+
+def _check_train_frac(train_frac):
+    if not 0.0 < train_frac < 1.0:
+        raise ValueError("train_frac must lie strictly between 0 and 1")
+
+
+def _check_runs(n_runs):
+    if n_runs < 1:
+        raise ValueError("n_runs must be >= 1")
 
 
 def _check_factor(factor):
@@ -115,8 +124,7 @@ def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
                   bootstrap_factor: Optional[int] = None) -> RepeatedMetrics:
     """n_runs independent split/train/test passes; run i uses split
     seed = seed + i."""
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+    _check_runs(n_runs)
     if bootstrap_factor is not None:
         _check_factor(bootstrap_factor)
     result = RepeatedMetrics()
@@ -153,11 +161,14 @@ class SweepResult:
 def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
                      n_runs: int, seed: int,
                      train_frac: float = 2.0 / 3.0) -> SweepResult:
-    """Evaluates every grid point with repeated_eval; failures are
-    recorded and the sweep continues. Best = highest mean test f1,
-    first grid point on ties."""
+    """Evaluates every grid point with repeated_eval; a point whose
+    runs fail is recorded and the sweep continues. Best = highest mean
+    test f1, first grid point on ties. Errors of the arguments every
+    point shares are raised before the first point."""
     if not grid:
         raise ValueError("grid must be nonempty")
+    _check_runs(n_runs)
+    _check_train_frac(train_frac)
     entries = []
     best_index = None
     best_f1 = -1.0

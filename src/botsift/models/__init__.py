@@ -1,63 +1,88 @@
 """Model families behind a single train/predict contract.
 
-`TRAINERS` maps family tags to (params class, trainer); `predict`
-dispatches on the artifact's family tag and applies any stored
-standardization or kernel map before scoring. A fit runs on one BLAS
-thread; scoring uses numpy's default pool.
+`FAMILIES` maps each family tag to its params class, its `fit` and
+`score`, whether its rows are standardized and whether it needs both
+classes. `train_model` and `predict` do the shared work around them:
+the class check, the standardization, the artifact envelope. A family's
+`fit(X, labels, hp)` returns (parameters, metadata) and its
+`score(artifact, X)` scores rows that are already standardized. A fit
+runs on one BLAS thread; scoring uses numpy's default pool.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from ..windows import Dataset
-from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, load_artifact,
-                   sigmoid)
+from . import boosting, forest, logreg, nn, svm
+from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, apply_standardizer,
+                   fit_standardizer, load_artifact, sigmoid)
 from .blas import one_thread
-from .boosting import BoostingParams, train_boosting, score_boosting
-from .forest import ForestParams, train_random_forest, score_forest
-from .logreg import LogRegParams, train_logreg, score_logreg
-from .nn import NnParams, parameter_counts, train_nn, score_nn
-from .svm import SvmParams, train_svm, score_svm
+from .boosting import BoostingParams
+from .forest import ForestParams
+from .logreg import LogRegParams
+from .nn import NnParams, parameter_counts
+from .svm import SvmParams
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION", "ModelArtifact", "load_artifact",
     "BoostingParams", "ForestParams", "LogRegParams", "NnParams",
-    "SvmParams", "TRAINERS", "train_model", "predict",
+    "SvmParams", "FAMILIES", "train_model", "predict",
     "parameter_counts", "sigmoid",
 ]
 
-TRAINERS = {
-    "logreg": (LogRegParams, train_logreg),
-    "svm": (SvmParams, train_svm),
-    "rf": (ForestParams, train_random_forest),
-    "gboost": (BoostingParams, train_boosting),
-    "nn": (NnParams, train_nn),
+
+class Family(NamedTuple):
+    params: type
+    fit: Callable
+    score: Callable
+    standardized: bool
+    needs_both_classes: bool
+
+
+FAMILIES = {
+    "logreg": Family(LogRegParams, logreg.fit, logreg.score, True, True),
+    "svm": Family(SvmParams, svm.fit, svm.score, True, True),
+    "rf": Family(ForestParams, forest.fit, forest.score, False, False),
+    "gboost": Family(BoostingParams, boosting.fit, boosting.score, False,
+                     True),
+    "nn": Family(NnParams, nn.fit, nn.score, True, True),
 }
 
-_SCORERS = {
-    "logreg": score_logreg,
-    "svm": score_svm,
-    "rf": score_forest,
-    "gboost": score_boosting,
-    "nn": score_nn,
-}
+
+def _family(tag: str) -> Family:
+    if tag not in FAMILIES:
+        raise ValueError(f"unknown model family {tag!r}")
+    return FAMILIES[tag]
 
 
 def train_model(family: str, ds: Dataset, hp) -> ModelArtifact:
-    if family not in TRAINERS:
-        raise ValueError(f"unknown model family {family!r}")
-    _, trainer = TRAINERS[family]
+    fam = _family(family)
+    if fam.needs_both_classes:
+        present = np.unique(ds.labels)
+        if not (0 in present and 1 in present):
+            raise ValueError(f"{family} training needs both classes, "
+                             f"found labels {present}")
+    std = fit_standardizer(ds.rows) if fam.standardized else None
     with one_thread():
-        return trainer(ds, hp)
+        parameters, metadata = fam.fit(apply_standardizer(ds.rows, std),
+                                       ds.labels, hp)
+    return ModelArtifact(
+        family=family,
+        hyperparams=asdict(hp),
+        feature_names=list(ds.feature_names),
+        standardization=std,
+        parameters=parameters,
+        metadata={"n_train": ds.n, **metadata},
+    )
 
 
 def make_params(family: str, overrides: dict):
     """Params object for a family from a {name: value} mapping."""
-    if family not in TRAINERS:
-        raise ValueError(f"unknown model family {family!r}")
-    cls, _ = TRAINERS[family]
-    return cls(**overrides)
+    return _family(family).params(**overrides)
 
 
 def predict(artifact: ModelArtifact, rows: np.ndarray):
@@ -71,9 +96,8 @@ def predict(artifact: ModelArtifact, rows: np.ndarray):
         raise ValueError(
             f"row width {rows.shape[1]} does not match the model's "
             f"{expected} features")
-    scorer = _SCORERS.get(artifact.family)
-    if scorer is None:
-        raise ValueError(f"unknown model family {artifact.family!r}")
-    scores = np.asarray(scorer(artifact, rows), dtype=float)
+    score = _family(artifact.family).score
+    X = apply_standardizer(rows, artifact.standardization)
+    scores = np.asarray(score(artifact, X), dtype=float)
     labels = (scores >= 0.5).astype(int)
     return scores, labels

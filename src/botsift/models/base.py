@@ -94,13 +94,6 @@ def apply_standardizer(X: np.ndarray,
     return (X - mean) / std
 
 
-def check_both_classes(labels: np.ndarray, family: str):
-    present = np.unique(labels)
-    if not (0 in present and 1 in present):
-        raise ValueError(
-            f"{family} training needs both classes, found labels {present}")
-
-
 def sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=float)
     pos = z >= 0

@@ -9,13 +9,12 @@ stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..windows import Dataset
 from . import trees
-from .base import ModelArtifact, check_both_classes, sigmoid, softplus
+from .base import ModelArtifact, sigmoid, softplus
 
 
 @dataclass
@@ -33,14 +32,12 @@ class BoostingParams:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
 
 
-def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
-    check_both_classes(ds.labels, "gboost")
-    X = ds.rows
-    y = ds.labels.astype(float)
+def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):
+    y = labels.astype(float)
     y_pm = 2.0 * y - 1.0
     n, d = X.shape
     p0 = float(y.mean())
@@ -77,17 +74,10 @@ def train_boosting(ds: Dataset, hp: BoostingParams) -> ModelArtifact:
         F = F + hp.learning_rate * trees.predict(tree, X)
         stage_losses.append(training_loss())
 
-    return ModelArtifact(
-        family="gboost",
-        hyperparams=asdict(hp),
-        feature_names=list(ds.feature_names),
-        standardization=None,
-        parameters={"f0": f0, "trees": stages},
-        metadata={"n_train": n, "stage_losses": stage_losses},
-    )
+    return {"f0": f0, "trees": stages}, {"stage_losses": stage_losses}
 
 
-def score_boosting(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
+def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     F = np.full(X.shape[0], artifact.parameters["f0"])
     lr = artifact.hyperparams["learning_rate"]
     for tree in artifact.parameters["trees"]:

@@ -12,12 +12,11 @@ weighted by the number of times its bootstrap sample drew it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..windows import Dataset
 from . import trees
 from .base import ModelArtifact
 
@@ -85,15 +84,15 @@ def distinct_pairs(X: np.ndarray, y: np.ndarray):
     return order[starts], pair_of
 
 
-def train_random_forest(ds: Dataset, hp: ForestParams) -> ModelArtifact:
-    if ds.n == 0:
+def fit(rows: np.ndarray, labels: np.ndarray, hp: ForestParams):
+    n, d = rows.shape
+    if n == 0:
         raise ValueError("cannot train a forest on an empty dataset")
-    n, d = ds.rows.shape
     n_candidates = max(1, int(math.isqrt(d)))
     # identical (row, label) pairs always share a node, so each tree
     # grows on the distinct pairs, weighted by how often it drew them
-    first, pair_of = distinct_pairs(ds.rows, ds.labels)
-    X, y = ds.rows[first], ds.labels[first]
+    first, pair_of = distinct_pairs(rows, labels)
+    X, y = rows[first], labels[first]
     order = trees.presort(X)
 
     def one_tree(t: int):
@@ -112,18 +111,11 @@ def train_random_forest(ds: Dataset, hp: ForestParams) -> ModelArtifact:
     if total > 0:
         importances = importances / total
 
-    return ModelArtifact(
-        family="rf",
-        hyperparams=asdict(hp),
-        feature_names=list(ds.feature_names),
-        standardization=None,
-        parameters={"trees": forest,
-                    "feature_importances": importances.tolist()},
-        metadata={"n_train": n, "split_candidates": n_candidates},
-    )
+    return ({"trees": forest, "feature_importances": importances.tolist()},
+            {"split_candidates": n_candidates})
 
 
-def score_forest(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
+def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     forest = artifact.parameters["trees"]
     votes = np.zeros(X.shape[0])
     for tree in forest:

@@ -2,21 +2,18 @@
 descent with Armijo backtracking line search.
 
 The objective is mean weighted binary cross-entropy plus an L2 penalty
-``||w||^2 / (2C)`` on the weights (bias unpenalized). Features are
-standardized before optimization and the transform is stored in the
-artifact.
+``||w||^2 / (2C)`` on the weights (bias unpenalized). It fits and
+scores standardized rows.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..windows import Dataset
-from .base import (ModelArtifact, apply_standardizer, check_both_classes,
-                   fit_standardizer, sigmoid, softplus)
+from .base import ModelArtifact, sigmoid, softplus
 
 logger = logging.getLogger(__name__)
 
@@ -31,9 +28,9 @@ class LogRegParams:
     seed: int = 42
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be > 0")
-        if self.weight_negative <= 0 or self.weight_positive <= 0:
+        if not (self.weight_negative > 0 and self.weight_positive > 0):
             raise ValueError("class weights must be > 0")
 
 
@@ -53,12 +50,9 @@ def _loss_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
     return loss, grad_w, grad_b
 
 
-def train_logreg(ds: Dataset, hp: LogRegParams) -> ModelArtifact:
-    check_both_classes(ds.labels, "logreg")
-    std = fit_standardizer(ds.rows)
-    X = apply_standardizer(ds.rows, std)
-    y = ds.labels.astype(float)
-    sw = np.where(ds.labels == 1, hp.weight_positive, hp.weight_negative)
+def fit(X: np.ndarray, labels: np.ndarray, hp: LogRegParams):
+    y = labels.astype(float)
+    sw = np.where(labels == 1, hp.weight_positive, hp.weight_negative)
 
     d = X.shape[1]
     w = np.zeros(d)
@@ -99,19 +93,11 @@ def train_logreg(ds: Dataset, hp: LogRegParams) -> ModelArtifact:
         logger.warning("logreg did not reach the gradient tolerance in %d "
                        "iterations (|g|=%.3g)", hp.max_iter, grad_norm)
 
-    return ModelArtifact(
-        family="logreg",
-        hyperparams=asdict(hp),
-        feature_names=list(ds.feature_names),
-        standardization=std,
-        parameters={"weights": w.tolist(), "bias": b},
-        metadata={"n_train": ds.n, "iterations": iterations,
-                  "converged": converged, "final_loss": loss},
-    )
+    return ({"weights": w.tolist(), "bias": b},
+            {"iterations": iterations, "converged": converged,
+             "final_loss": loss})
 
 
-def score_logreg(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    Xs = apply_standardizer(X, artifact.standardization)
+def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     w = np.asarray(artifact.parameters["weights"])
-    b = artifact.parameters["bias"]
-    return sigmoid(Xs @ w + b)
+    return sigmoid(X @ w + artifact.parameters["bias"])

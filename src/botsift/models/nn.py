@@ -5,19 +5,17 @@ ReLU; then a final dense layer to one logit and a sigmoid. Batch norm
 normalizes with per-batch population statistics during training and
 with running statistics at prediction time. Optimization is mini-batch
 SGD with classical momentum on a binary cross-entropy loss computed
-from logits.
+from logits. It fits and scores standardized rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..windows import Dataset
-from .base import (ModelArtifact, apply_standardizer, check_both_classes,
-                   fit_standardizer, jsonable, sigmoid, softplus)
+from .base import ModelArtifact, jsonable, sigmoid, softplus
 
 
 @dataclass
@@ -35,10 +33,12 @@ class NnParams:
         self.hidden = tuple(int(h) for h in self.hidden)
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if not self.bn_eps > 0:
+            raise ValueError("bn_eps must be > 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -173,12 +173,9 @@ def _sgd_step(net: dict, grads: dict, velocity: dict, lr: float,
         net[key] += v
 
 
-def train_nn(ds: Dataset, hp: NnParams) -> ModelArtifact:
-    check_both_classes(ds.labels, "nn")
-    std = fit_standardizer(ds.rows)
-    X = apply_standardizer(ds.rows, std)
-    y = ds.labels.astype(float)
-    n = ds.n
+def fit(X: np.ndarray, labels: np.ndarray, hp: NnParams):
+    y = labels.astype(float)
+    n = X.shape[0]
 
     net = init_network(X.shape[1], hp.hidden, hp.seed)
     velocity = {
@@ -214,16 +211,9 @@ def train_nn(ds: Dataset, hp: NnParams) -> ModelArtifact:
         epoch_losses.append(float(np.mean(batch_losses)))
 
     trainable, non_trainable = parameter_counts(X.shape[1], hp.hidden)
-    return ModelArtifact(
-        family="nn",
-        hyperparams=asdict(hp),
-        feature_names=list(ds.feature_names),
-        standardization=std,
-        parameters=jsonable(net),
-        metadata={"n_train": n, "epoch_losses": epoch_losses,
-                  "trainable_parameters": trainable,
-                  "non_trainable_parameters": non_trainable},
-    )
+    return jsonable(net), {"epoch_losses": epoch_losses,
+                           "trainable_parameters": trainable,
+                           "non_trainable_parameters": non_trainable}
 
 
 def _net_from_artifact(artifact: ModelArtifact) -> dict:
@@ -238,9 +228,8 @@ def _net_from_artifact(artifact: ModelArtifact) -> dict:
     }
 
 
-def score_nn(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    Xs = apply_standardizer(X, artifact.standardization)
+def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     net = _net_from_artifact(artifact)
-    logits, _, _ = forward_logits(net, Xs, artifact.hyperparams["bn_eps"],
+    logits, _, _ = forward_logits(net, X, artifact.hyperparams["bn_eps"],
                                   False)
     return sigmoid(logits)

@@ -6,19 +6,18 @@ The polynomial map enumerates every monomial of total degree <= degree
 (constant included), so a linear model on the mapped features equals a
 polynomial-kernel machine. The RBF kernel is approximated with random
 Fourier features sqrt(2/D) * cos(w.x + b), frequencies drawn from
-N(0, 2*gamma*I) and offsets from Uniform[0, 2*pi).
+N(0, 2*gamma*I) and offsets from Uniform[0, 2*pi). It fits and scores
+standardized rows, mapping them first.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ..windows import Dataset
-from .base import (ModelArtifact, apply_standardizer, check_both_classes,
-                   fit_standardizer, sigmoid)
+from .base import ModelArtifact, sigmoid
 
 
 @dataclass
@@ -42,11 +41,11 @@ class SvmParams:
         if self.kernel == "poly" and self.degree < 1:
             raise ValueError("degree must be >= 1")
         if self.kernel == "rbf":
-            if self.gamma <= 0:
+            if not self.gamma > 0:
                 raise ValueError("gamma must be > 0")
             if self.rff_dim < 2 or self.rff_dim % 2 != 0:
                 raise ValueError("rff_dim must be an even number >= 2")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
         if self.penalty not in ("l1", "l2", "elasticnet"):
             raise ValueError(f"unknown penalty {self.penalty!r}")
@@ -54,7 +53,7 @@ class SvmParams:
             raise ValueError("l1_ratio must lie in [0, 1]")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.eta0 <= 0:
+        if not self.eta0 > 0:
             raise ValueError("eta0 must be > 0")
 
     def effective_l1_ratio(self) -> float:
@@ -126,11 +125,7 @@ def _sgd_hinge(X: np.ndarray, y_pm: np.ndarray, sw: np.ndarray,
     return w, b
 
 
-def train_svm(ds: Dataset, hp: SvmParams) -> ModelArtifact:
-    check_both_classes(ds.labels, "svm")
-    std = fit_standardizer(ds.rows)
-    X = apply_standardizer(ds.rows, std)
-
+def fit(X: np.ndarray, labels: np.ndarray, hp: SvmParams):
     omegas = offsets = None
     if hp.kernel == "poly":
         X = map_polynomial(X, hp.degree)
@@ -139,8 +134,8 @@ def train_svm(ds: Dataset, hp: SvmParams) -> ModelArtifact:
                                      hp.seed)
         X = map_rff(X, omegas, offsets)
 
-    y_pm = np.where(ds.labels == 1, 1.0, -1.0)
-    sw = np.where(ds.labels == 1, hp.weight_positive, hp.weight_negative)
+    y_pm = np.where(labels == 1, 1.0, -1.0)
+    sw = np.where(labels == 1, hp.weight_positive, hp.weight_negative)
     w, b = _sgd_hinge(X, y_pm, sw, hp)
 
     parameters = {"weights": w.tolist(), "bias": b}
@@ -148,25 +143,16 @@ def train_svm(ds: Dataset, hp: SvmParams) -> ModelArtifact:
         parameters["rff_frequencies"] = omegas.tolist()
         parameters["rff_offsets"] = offsets.tolist()
 
-    return ModelArtifact(
-        family="svm",
-        hyperparams=asdict(hp),
-        feature_names=list(ds.feature_names),
-        standardization=std,
-        parameters=parameters,
-        metadata={"n_train": ds.n, "mapped_dim": X.shape[1]},
-    )
+    return parameters, {"mapped_dim": X.shape[1]}
 
 
-def score_svm(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    Xs = apply_standardizer(X, artifact.standardization)
+def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     kernel = artifact.hyperparams["kernel"]
     if kernel == "poly":
-        Xs = map_polynomial(Xs, artifact.hyperparams["degree"])
+        X = map_polynomial(X, artifact.hyperparams["degree"])
     elif kernel == "rbf":
         omegas = np.asarray(artifact.parameters["rff_frequencies"])
         offsets = np.asarray(artifact.parameters["rff_offsets"])
-        Xs = map_rff(Xs, omegas, offsets)
+        X = map_rff(X, omegas, offsets)
     w = np.asarray(artifact.parameters["weights"])
-    b = artifact.parameters["bias"]
-    return sigmoid(Xs @ w + b)
+    return sigmoid(X @ w + artifact.parameters["bias"])

@@ -20,8 +20,8 @@ import pytest
 from botsift.cli import main
 from botsift.evaluation import evaluate_once, prf1, repeated_eval
 from botsift.flows import load_scenario
-from botsift.models import ForestParams, trees
-from botsift.models.forest import grow_tree, train_random_forest
+from botsift.models import ForestParams, train_model, trees
+from botsift.models.forest import grow_tree
 from botsift.models.nn import (bce_from_logits, forward_backward,
                                forward_logits, init_network,
                                parameter_counts)
@@ -214,7 +214,7 @@ def test_criterion_05_tree_oracle():
 
     ds = Dataset(rng.normal(size=(200, 4)), rng.integers(0, 2, 200),
                  ["a", "b", "c", "d"])
-    artifact = train_random_forest(ds, ForestParams(n_trees=100, seed=7))
+    artifact = train_model("rf", ds, ForestParams(n_trees=100, seed=7))
     from botsift.models import predict
     _, labels = predict(artifact, ds.rows)
     assert prf1(ds.labels, labels).f1 == 1.0

@@ -2,12 +2,13 @@
 default pool, and the pool's size is restored afterwards."""
 
 import logging
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
 
-from botsift.models import TRAINERS, blas, make_params, train_model
+from botsift import models
+from botsift.models import FAMILIES, blas, make_params, train_model
 from botsift.windows import Dataset
 
 # large enough that OpenBLAS splits the products among its threads: nn's
@@ -44,27 +45,29 @@ def pool_size(n):
 
 @needs_pool
 @pytest.mark.parametrize("family,hp", FITS, ids=[f for f, _ in FITS])
-def test_pinned_fit_writes_the_bytes_of_a_fit_on_two_threads(family, hp):
+def test_pinned_fit_writes_the_bytes_of_a_fit_on_two_threads(
+        family, hp, monkeypatch):
     ds = dataset()
     with pool_size(2):
-        direct = TRAINERS[family][1](ds, make_params(family, hp)).to_json()
         pinned = train_model(family, ds, make_params(family, hp)).to_json()
+        monkeypatch.setattr(models, "one_thread", nullcontext)
+        direct = train_model(family, ds, make_params(family, hp)).to_json()
     assert pinned == direct
 
 
 @needs_pool
 def test_fit_runs_on_one_thread_and_restores_the_pool(monkeypatch):
     get, _ = blas._pool()
-    cls, trainer = TRAINERS["logreg"]
+    family = FAMILIES["logreg"]
     seen = []
 
-    def spy(ds, hp):
+    def spy(X, labels, hp):
         seen.append(get())
-        return trainer(ds, hp)
+        return family.fit(X, labels, hp)
 
-    monkeypatch.setitem(TRAINERS, "logreg", (cls, spy))
+    monkeypatch.setitem(FAMILIES, "logreg", family._replace(fit=spy))
     with pool_size(2):
-        train_model("logreg", dataset(), cls(max_iter=5))
+        train_model("logreg", dataset(), family.params(max_iter=5))
         assert get() == 2
     assert seen == [1]
 

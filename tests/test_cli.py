@@ -232,6 +232,30 @@ class TestSweep:
         assert main(["sweep", str(features_csv), "--grid", "n_trees"]) == 1
         assert "not key=v1,v2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--runs", "0"),
+                                            ("--train-frac", "1.5")])
+    def test_shared_argument_error_exits_1(self, features_csv, capsys,
+                                           flag, value):
+        assert main(["sweep", str(features_csv), "--model", "logreg",
+                     "--grid", "c=1,10", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Params" not in captured.out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 1e300 overflows
+    def test_failing_point_is_recorded(self, features_csv, tmp_path,
+                                       capsys):
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep", str(features_csv), "--model", "nn",
+                     "--grid", "learning-rate=0.01,1e300",
+                     "--grid", "epochs=1", "--runs", "1",
+                     "--out-csv", str(csv_path)]) == 0
+        rows = read_csv(csv_path)
+        assert len(rows) == 3
+        assert rows[1][4] == "" and "non-finite loss" in rows[2][4]
+        assert "best: learning_rate=0.01" in capsys.readouterr().out
+
 
 class TestCrossScenario:
     def test_train_and_test_files(self, features_csv, tmp_path, capsys):

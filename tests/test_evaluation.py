@@ -4,6 +4,7 @@ cross-capture evaluation."""
 import numpy as np
 import pytest
 
+from botsift import evaluation
 from botsift.evaluation import (Metrics, bootstrap_resample,
                                 cross_scenario_eval, evaluate_once,
                                 hyperparam_sweep, prf1, repeated_eval,
@@ -11,6 +12,7 @@ from botsift.evaluation import (Metrics, bootstrap_resample,
 from botsift.models import ForestParams, LogRegParams, make_params
 from botsift.windows import Dataset
 
+NAN = float("nan")
 
 def confusion_oracle(y_true, y_pred):
     """Element-by-element confusion counting in plain Python."""
@@ -232,6 +234,20 @@ class TestSweep:
         with pytest.raises(ValueError):
             hyperparam_sweep(toy_dataset(60), "rf", [], n_runs=1, seed=0)
 
+    @pytest.mark.parametrize("n_runs,train_frac,message", [
+        (0, 0.5, "n_runs"), (1, 1.5, "train_frac"),
+        (1, float("nan"), "train_frac")])
+    def test_shared_argument_errors_raise_before_any_point(
+            self, monkeypatch, n_runs, train_frac, message):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        monkeypatch.setattr(evaluation, "repeated_eval", no_runs)
+        with pytest.raises(ValueError, match=message):
+            hyperparam_sweep(toy_dataset(60), "rf",
+                             [{"n_trees": 1}, {"n_trees": 2}],
+                             n_runs=n_runs, seed=0, train_frac=train_frac)
+
 
 class TestMakeParams:
     def test_round_trips_overrides(self):
@@ -244,6 +260,21 @@ class TestMakeParams:
             make_params("xgb", {})
         with pytest.raises(TypeError):
             make_params("rf", {"trees": 5})
+
+    @pytest.mark.parametrize("family,field,value", [
+        ("logreg", "c", NAN), ("logreg", "weight_negative", NAN),
+        ("logreg", "weight_positive", NAN), ("svm", "gamma", NAN),
+        ("svm", "alpha", NAN), ("svm", "l1_ratio", NAN),
+        ("svm", "eta0", NAN), ("gboost", "learning_rate", NAN),
+        ("nn", "learning_rate", NAN), ("nn", "momentum", NAN),
+        ("nn", "bn_eps", NAN), ("nn", "bn_eps", 0.0),
+        ("nn", "bn_eps", -1.0)])
+    def test_out_of_range_float_is_refused(self, family, field, value):
+        overrides = {field: value}
+        if family == "svm":
+            overrides["kernel"] = "rbf"  # gamma is checked for rbf only
+        with pytest.raises(ValueError):
+            make_params(family, overrides)
 
 
 class TestCrossScenario:

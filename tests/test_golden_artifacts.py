@@ -11,15 +11,16 @@ parameter, every metadata field and every score must match a fresh run
 bit for bit.
 """
 
+import hashlib
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from botsift.evaluation import bootstrap_resample
-from botsift.models import (TRAINERS, BoostingParams, ForestParams,
+from botsift.models import (FAMILIES, BoostingParams, ForestParams,
                             LogRegParams, NnParams, SvmParams, load_artifact,
                             predict, train_model)
 from botsift.windows import Dataset
@@ -139,7 +140,7 @@ NON_DEFAULT = {
 }
 
 
-@pytest.mark.parametrize("family", list(TRAINERS))
+@pytest.mark.parametrize("family", list(FAMILIES))
 def test_artifact_records_every_hyperparameter(family, tmp_path):
     hp = NON_DEFAULT[family]
     default = type(hp)()
@@ -150,3 +151,31 @@ def test_artifact_records_every_hyperparameter(family, tmp_path):
     # compared as JSON stores them: a tuple reads back as a list
     expected = json.loads(json.dumps(asdict(hp)))
     assert load_artifact(path).hyperparams == expected
+
+
+# sha256 of each artifact's JSON, taken before the envelope moved into
+# train_model; the golden files above pin the rf and gboost artifacts
+PINNED = {
+    "logreg": (
+        "logreg", NON_DEFAULT["logreg"],
+        "09c53404f4578a7ee0f88df79da2c38e74df7a45bfafbcd22e2619418adff1ee"),
+    "svm_linear": (
+        "svm", replace(NON_DEFAULT["svm"], kernel="linear"),
+        "580dfc71d3478268c7b040157c231c5cae343292a225b7274af638eed717866d"),
+    "svm_poly": (
+        "svm", NON_DEFAULT["svm"],
+        "755eedf4e7194ec1e3cbc138e3fb8d2150bafa9e54f3155c5ebf015664ebe3de"),
+    "svm_rbf": (
+        "svm", replace(NON_DEFAULT["svm"], kernel="rbf"),
+        "11c7c89d9c2bfe56528fea9aabc6520b26ba97c185cd07042a9f09431786daa6"),
+    "nn": (
+        "nn", NON_DEFAULT["nn"],
+        "6c0d2064f6d6cf92bbcce282d2f36277c6a5fab0054dfadff6ab8000b607f57e"),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_artifact_bytes_are_pinned(name):
+    family, hp, digest = PINNED[name]
+    doc = train_model(family, golden_dataset(), hp).to_json()
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest

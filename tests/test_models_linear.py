@@ -6,11 +6,11 @@ import logging
 import numpy as np
 import pytest
 
-from botsift.models import predict
+from botsift.models import predict, train_model
 from botsift.models.base import load_artifact
-from botsift.models.logreg import LogRegParams, score_logreg, train_logreg
+from botsift.models.logreg import LogRegParams
 from botsift.models.svm import (SvmParams, map_polynomial, map_rff,
-                                sample_rff, score_svm, train_svm)
+                                sample_rff)
 from botsift.windows import Dataset
 
 
@@ -32,7 +32,7 @@ def separable_1d(seed=4, n=100):
 class TestLogReg:
     def test_separable_matches_sign_rule(self):
         ds, x, y = separable_1d()
-        artifact = train_logreg(ds, LogRegParams(
+        artifact = train_model("logreg", ds, LogRegParams(
             weight_negative=1.0, max_iter=1000))
         scores, labels = predict(artifact, ds.rows)
         # closed-form oracle on 1-D sign-separable data
@@ -44,8 +44,8 @@ class TestLogReg:
         X = rng.normal(size=(200, 3))
         y = (rng.random(200) < 0.5).astype(int)
         ds = Dataset(X, y, ["a", "b", "c"])
-        artifact = train_logreg(ds, LogRegParams(weight_negative=1e-9,
-                                                 max_iter=300))
+        artifact = train_model("logreg", ds, LogRegParams(
+            weight_negative=1e-9, max_iter=300))
         _, labels = predict(artifact, X)
         assert labels.min() == 1  # everything positive: recall 1.0
 
@@ -56,24 +56,25 @@ class TestLogReg:
         y = (rng.random(160) < 1 / (1 + np.exp(-logit))).astype(int)
         hp = LogRegParams(c=10.0, weight_negative=1.0, max_iter=2000,
                           tol=1e-10)
-        direct = train_logreg(Dataset(X, y, ["a", "b", "c"]), hp)
-        flipped = train_logreg(Dataset(X, 1 - y, ["a", "b", "c"]), hp)
+        direct = train_model("logreg", Dataset(X, y, ["a", "b", "c"]), hp)
+        flipped = train_model("logreg", Dataset(X, 1 - y, ["a", "b", "c"]),
+                              hp)
         w_direct = np.array(direct.parameters["weights"])
         w_flipped = np.array(flipped.parameters["weights"])
         np.testing.assert_allclose(w_direct, -w_flipped, atol=1e-6)
-        s_direct = score_logreg(direct, X)
-        s_flipped = score_logreg(flipped, X)
+        s_direct = predict(direct, X)[0]
+        s_flipped = predict(flipped, X)[0]
         np.testing.assert_allclose(s_direct + s_flipped, 1.0, atol=1e-6)
 
     def test_single_class_errors(self):
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=int),
                      ["a", "b"])
         with pytest.raises(ValueError, match="both classes"):
-            train_logreg(ds, LogRegParams())
+            train_model("logreg", ds, LogRegParams())
 
     def test_nonconvergence_warns_not_errors(self, caplog):
         ds, _, _ = separable_1d()
-        artifact = train_logreg(ds, LogRegParams(max_iter=1))
+        artifact = train_model("logreg", ds, LogRegParams(max_iter=1))
         assert [(name, level) for name, level, message in caplog.record_tuples
                 if "tolerance" in message] == [("botsift.models.logreg",
                                                 logging.WARNING)]
@@ -81,14 +82,14 @@ class TestLogReg:
 
     def test_artifact_round_trip_is_exact(self, tmp_path):
         ds, _, _ = separable_1d()
-        artifact = train_logreg(ds, LogRegParams(max_iter=200,
-                                                 weight_negative=1.0))
+        artifact = train_model("logreg", ds, LogRegParams(
+            max_iter=200, weight_negative=1.0))
         path = tmp_path / "logreg.json"
         artifact.save(path)
         loaded = load_artifact(path)
         assert loaded.family == "logreg"
-        np.testing.assert_array_equal(score_logreg(loaded, ds.rows),
-                                      score_logreg(artifact, ds.rows))
+        np.testing.assert_array_equal(predict(loaded, ds.rows)[0],
+                                      predict(artifact, ds.rows)[0])
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +135,7 @@ class TestSvm:
     def test_separable_reaches_zero_hinge(self):
         ds, X, y = separable_2d()
         assert grid_has_perfect_separator(X, y)  # oracle: separable
-        artifact = train_svm(ds, SvmParams(seed=7))
+        artifact = train_model("svm", ds, SvmParams(seed=7))
         w = np.array(artifact.parameters["weights"])
         b = artifact.parameters["bias"]
         mean = np.array(artifact.standardization["mean"])
@@ -150,7 +151,7 @@ class TestSvm:
         y = (rng.random(150) < 0.3).astype(int)
         majority = int(np.bincount(y).argmax())
         ds = Dataset(X, y, ["a", "b", "c"])
-        artifact = train_svm(ds, SvmParams(alpha=1e6, seed=7))
+        artifact = train_model("svm", ds, SvmParams(alpha=1e6, seed=7))
         weights = np.array(artifact.parameters["weights"])
         assert np.abs(weights).max() == 0.0
         _, labels = predict(artifact, X)
@@ -165,8 +166,8 @@ class TestSvm:
         X = np.column_stack([signal, noise])
         ds = Dataset(X, y, ["signal", "n1", "n2", "n3", "n4"])
 
-        artifact = train_svm(ds, SvmParams(penalty="l1", alpha=1e-3,
-                                           seed=3))
+        artifact = train_model("svm", ds, SvmParams(penalty="l1",
+                                                    alpha=1e-3, seed=3))
         w = np.array(artifact.parameters["weights"])
         support = set(np.nonzero(np.abs(w) > 1e-12)[0].tolist())
 
@@ -202,13 +203,13 @@ class TestSvm:
 
     def test_rbf_artifact_round_trip(self, tmp_path):
         ds, X, y = separable_2d(seed=9)
-        artifact = train_svm(ds, SvmParams(kernel="rbf", gamma=0.5,
-                                           rff_dim=64, seed=5))
+        artifact = train_model("svm", ds, SvmParams(kernel="rbf", gamma=0.5,
+                                                    rff_dim=64, seed=5))
         path = tmp_path / "svm.json"
         artifact.save(path)
         loaded = load_artifact(path)
-        np.testing.assert_array_equal(score_svm(loaded, X),
-                                      score_svm(artifact, X))
+        np.testing.assert_array_equal(predict(loaded, X)[0],
+                                      predict(artifact, X)[0])
         _, labels = predict(loaded, X)
         assert f1_manual(y, labels) == 1.0
 

@@ -4,11 +4,11 @@ differences, batch-norm prediction semantics, and failure reporting."""
 import numpy as np
 import pytest
 
-from botsift.models import predict
+from botsift.models import predict, train_model
 from botsift.models.base import load_artifact
 from botsift.models.nn import (NnParams, bce_from_logits, forward_backward,
                                forward_logits, init_network,
-                               parameter_counts, score_nn, train_nn)
+                               parameter_counts)
 from botsift.windows import Dataset
 
 
@@ -106,7 +106,8 @@ def separable_ds(seed=24, n=120):
 
 def test_training_separates_easy_data():
     ds = separable_ds()
-    artifact = train_nn(ds, NnParams(hidden=(8, 4), epochs=30, seed=1))
+    artifact = train_model("nn", ds, NnParams(hidden=(8, 4), epochs=30,
+                                              seed=1))
     _, labels = predict(artifact, ds.rows)
     np.testing.assert_array_equal(labels, ds.labels)
     losses = artifact.metadata["epoch_losses"]
@@ -117,28 +118,29 @@ def test_training_separates_easy_data():
 def test_training_is_deterministic():
     ds = separable_ds(seed=25)
     hp = NnParams(hidden=(6,), epochs=3, seed=7)
-    assert train_nn(ds, hp).to_json() == train_nn(ds, hp).to_json()
+    assert (train_model("nn", ds, hp).to_json()
+            == train_model("nn", ds, hp).to_json())
 
 
 def test_artifact_round_trip_scores_exactly(tmp_path):
     ds = separable_ds(seed=26)
-    artifact = train_nn(ds, NnParams(hidden=(6, 3), epochs=4, seed=2))
+    artifact = train_model("nn", ds, NnParams(hidden=(6, 3), epochs=4, seed=2))
     path = tmp_path / "nn.json"
     artifact.save(path)
     loaded = load_artifact(path)
     assert loaded.metadata["trainable_parameters"] == parameter_counts(
         3, (6, 3))[0]
-    np.testing.assert_array_equal(score_nn(loaded, ds.rows),
-                                  score_nn(artifact, ds.rows))
+    np.testing.assert_array_equal(predict(loaded, ds.rows)[0],
+                                  predict(artifact, ds.rows)[0])
 
 
 def test_prediction_is_per_row_in_eval_mode():
     # running statistics, not batch statistics, at prediction time:
     # scoring rows together or one at a time must agree exactly
     ds = separable_ds(seed=27)
-    artifact = train_nn(ds, NnParams(hidden=(5,), epochs=2, seed=3))
-    batch = score_nn(artifact, ds.rows[:10])
-    singles = np.concatenate([score_nn(artifact, ds.rows[i:i + 1])
+    artifact = train_model("nn", ds, NnParams(hidden=(5,), epochs=2, seed=3))
+    batch = predict(artifact, ds.rows[:10])[0]
+    singles = np.concatenate([predict(artifact, ds.rows[i:i + 1])[0]
                               for i in range(10)])
     np.testing.assert_array_equal(batch, singles)
 
@@ -150,14 +152,14 @@ def test_non_finite_loss_reports_epoch_and_batch():
     ds = Dataset(X, np.tile([0, 1], 20), ["a", "b", "c"])
     with pytest.raises(FloatingPointError,
                        match=r"epoch 0, batch 0"):
-        train_nn(ds, NnParams(hidden=(4,), epochs=1, seed=0))
+        train_model("nn", ds, NnParams(hidden=(4,), epochs=1, seed=0))
 
 
 def test_single_class_errors():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.ones(4, dtype=int),
                  ["a", "b"])
     with pytest.raises(ValueError, match="both classes"):
-        train_nn(ds, NnParams(hidden=(4,)))
+        train_model("nn", ds, NnParams(hidden=(4,)))
 
 
 def test_param_validation():

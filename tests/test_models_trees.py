@@ -10,12 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from botsift.models import ForestParams, predict, trees
+from botsift.models import ForestParams, predict, train_model, trees
 from botsift.models.base import ModelArtifact, load_artifact
-from botsift.models.boosting import (BoostingParams, score_boosting,
-                                     train_boosting)
-from botsift.models.forest import (distinct_pairs, grow_tree, score_forest,
-                                   train_random_forest)
+from botsift.models.boosting import BoostingParams
+from botsift.models.forest import distinct_pairs, grow_tree
 from botsift.windows import Dataset
 
 SIGMOID_2 = 0.8807970779778823    # 1 / (1 + e^-2)
@@ -126,14 +124,13 @@ class TestForest:
 
     def test_consistent_data_training_f1_is_one(self):
         ds = self.separable()
-        artifact = train_random_forest(ds, ForestParams(n_trees=100,
-                                                        seed=1))
+        artifact = train_model("rf", ds, ForestParams(n_trees=100, seed=1))
         _, labels = predict(artifact, ds.rows)
         np.testing.assert_array_equal(labels, ds.labels)
 
     def test_scores_are_vote_multiples(self):
         ds = self.separable(seed=15)
-        artifact = train_random_forest(ds, ForestParams(n_trees=4, seed=2))
+        artifact = train_model("rf", ds, ForestParams(n_trees=4, seed=2))
         scores, _ = predict(artifact, ds.rows)
         np.testing.assert_allclose(scores * 4, np.round(scores * 4),
                                    atol=1e-12)
@@ -160,8 +157,8 @@ class TestForest:
             X = np.column_stack([y.astype(float),
                                  rng.normal(size=(120, 3))])
             ds = Dataset(X, y, ["copy", "noise1", "noise2", "noise3"])
-            artifact = train_random_forest(ds, ForestParams(n_trees=30,
-                                                            seed=seed))
+            artifact = train_model("rf", ds, ForestParams(n_trees=30,
+                                                          seed=seed))
             imp = np.array(artifact.parameters["feature_importances"])
             assert abs(imp.sum() - 1.0) < 1e-9
             if imp[0] > imp[1:].max():
@@ -194,24 +191,24 @@ class TestForest:
         gc.collect()
         gc.disable()
         try:
-            train_random_forest(ds, ForestParams(n_trees=5, seed=6))
+            train_model("rf", ds, ForestParams(n_trees=5, seed=6))
             assert gc.collect() == 0
         finally:
             gc.enable()
 
     def test_artifact_round_trip(self, tmp_path):
         ds = self.separable(seed=17)
-        artifact = train_random_forest(ds, ForestParams(n_trees=5, seed=4))
+        artifact = train_model("rf", ds, ForestParams(n_trees=5, seed=4))
         path = tmp_path / "rf.json"
         artifact.save(path)
         loaded = load_artifact(path)
-        np.testing.assert_array_equal(score_forest(loaded, ds.rows),
-                                      score_forest(artifact, ds.rows))
+        np.testing.assert_array_equal(predict(loaded, ds.rows)[0],
+                                      predict(artifact, ds.rows)[0])
 
     def test_empty_dataset_errors(self):
         ds = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), ["a", "b"])
         with pytest.raises(ValueError):
-            train_random_forest(ds, ForestParams(n_trees=1))
+            train_model("rf", ds, ForestParams(n_trees=1))
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -221,8 +218,8 @@ class TestForest:
 
     def test_max_depth_caps_the_tree(self):
         ds = self.separable(seed=18)
-        artifact = train_random_forest(ds, ForestParams(n_trees=3, seed=5,
-                                                        max_depth=1))
+        artifact = train_model("rf", ds, ForestParams(n_trees=3, seed=5,
+                                                      max_depth=1))
 
         def depth(tree, node=0):
             if tree["feature"][node] < 0:
@@ -295,7 +292,7 @@ class TestBoosting:
         # both losses reduce to a single Newton leaf of +-1 on the
         # half-spaces (x2 for the deviance scale), so scores = sigma(+-2)
         ds, x = step_data()
-        artifact = train_boosting(ds, BoostingParams(
+        artifact = train_model("gboost", ds, BoostingParams(
             loss=loss, n_trees=1, max_depth=1, learning_rate=1.0))
         scores, labels = predict(artifact, ds.rows)
         expected = np.where(x > 0, SIGMOID_2, SIGMOID_M2)
@@ -309,8 +306,8 @@ class TestBoosting:
         logit = X[:, 0] - 0.5 * X[:, 1] + 0.3 * rng.normal(size=150)
         y = (logit > 0).astype(int)
         ds = Dataset(X, y, ["a", "b", "c", "d"])
-        artifact = train_boosting(ds, BoostingParams(loss=loss, n_trees=30,
-                                                     max_depth=2))
+        artifact = train_model("gboost", ds, BoostingParams(
+            loss=loss, n_trees=30, max_depth=2))
         losses = artifact.metadata["stage_losses"]
         assert len(losses) == 31
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
@@ -320,8 +317,8 @@ class TestBoosting:
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         ds = Dataset(X, y, ["a", "b"])
-        artifact = train_boosting(ds, BoostingParams(loss=loss, n_trees=50,
-                                                     max_depth=2))
+        artifact = train_model("gboost", ds, BoostingParams(
+            loss=loss, n_trees=50, max_depth=2))
         _, labels = predict(artifact, X)
         # exhaustive truth table
         np.testing.assert_array_equal(labels, y)
@@ -340,7 +337,7 @@ class TestBoosting:
         ds = Dataset(np.arange(8.0).reshape(4, 2), np.zeros(4, dtype=int),
                      ["a", "b"])
         with pytest.raises(ValueError, match="both classes"):
-            train_boosting(ds, BoostingParams())
+            train_model("gboost", ds, BoostingParams())
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
@@ -355,17 +352,17 @@ class TestBoosting:
     def test_training_is_deterministic(self):
         ds, _ = step_data()
         hp = BoostingParams(n_trees=10, max_depth=2)
-        assert (train_boosting(ds, hp).to_json()
-                == train_boosting(ds, hp).to_json())
+        assert (train_model("gboost", ds, hp).to_json()
+                == train_model("gboost", ds, hp).to_json())
 
     def test_artifact_round_trip(self, tmp_path):
         ds, _ = step_data()
-        artifact = train_boosting(ds, BoostingParams(n_trees=5))
+        artifact = train_model("gboost", ds, BoostingParams(n_trees=5))
         path = tmp_path / "gboost.json"
         artifact.save(path)
         loaded = load_artifact(path)
-        np.testing.assert_array_equal(score_boosting(loaded, ds.rows),
-                                      score_boosting(artifact, ds.rows))
+        np.testing.assert_array_equal(predict(loaded, ds.rows)[0],
+                                      predict(artifact, ds.rows)[0])
 
     def test_monotone_transform_leaves_train_scores_unchanged(self):
         # boosting fits every stage on the full training set, so the
@@ -374,13 +371,13 @@ class TestBoosting:
         X = rng.normal(size=(90, 3))
         y = (X[:, 0] - X[:, 2] > 0).astype(int)
         hp = BoostingParams(n_trees=15, max_depth=2)
-        base = train_boosting(Dataset(X, y, ["a", "b", "c"]), hp)
+        base = train_model("gboost", Dataset(X, y, ["a", "b", "c"]), hp)
         transformed = np.column_stack([np.exp(X[:, 0]), X[:, 1] ** 3,
                                        np.arctan(X[:, 2])])
-        lifted = train_boosting(Dataset(transformed, y, ["a", "b", "c"]),
-                                hp)
-        np.testing.assert_array_equal(score_boosting(base, X),
-                                      score_boosting(lifted, transformed))
+        lifted = train_model("gboost",
+                             Dataset(transformed, y, ["a", "b", "c"]), hp)
+        np.testing.assert_array_equal(predict(base, X)[0],
+                                      predict(lifted, transformed)[0])
 
 
 def walk_oracle(tree, row):
