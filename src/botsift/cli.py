@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
         key, values = axis_text.split("=", 1)
         grid_axes[key.replace("-", "_")] = [coerce_value(v)
                                             for v in values.split(",")]
-    points = [{}]
+    points = [parse_hp(args.hp)]  # a grid axis overrides the same --hp key
     for key, values in grid_axes.items():
         points = [{**p, key: v} for p in points for v in values]
     for p in points:

@@ -7,10 +7,11 @@ Label), then one flow per line. Parsing is total: every data row either
 becomes a flow of the columnar FlowTable or a counted rejection with a
 reason code.
 
-`load_scenario` decodes each chunk of rows one column at a time, by the
-rules of `_CELL_RULES`; this column decoder is the only producer of flow
-values. A row it rejects is named by `_reason`, which runs the same rules
-on that row alone and reports the first that fails.
+`load_scenario` decodes each chunk of rows one column at a time: the
+timestamp and number columns with numpy, the text columns by the rules of
+`_CELL_RULES`. This column decoder is the only producer of flow values,
+and it names each row it rejects itself, by the first of its checks that
+the row fails.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import compress, count, filterfalse, islice, repeat
-from operator import is_
+from itertools import compress, count, islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,8 +57,8 @@ _MAX_REJECTION_SAMPLES = 10
 
 
 class FlowParseError(ValueError):
-    """A cell that its rule in `_CELL_RULES` refuses, parse_timestamp
-    being the rule of StartTime. Carries the row's reason code."""
+    """A cell that parse_timestamp refuses. Carries the row's reason
+    code."""
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason
@@ -188,12 +188,6 @@ def _is_number_text(cell: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-def _number(cell: str) -> float:
-    if not _is_number_text(cell):
-        raise ValueError(f"not a number: {cell!r}")
-    return float(cell)
-
-
 def parse_timestamp(text: str) -> datetime:
     """Parse 'YYYY/MM/DD HH:MM:SS[.fraction]' (naive, no timezone).
 
@@ -220,99 +214,51 @@ def format_timestamp(ts: datetime) -> str:
     return f"{ts.year:04d}/{ts:%m/%d %H:%M:%S.%f}"
 
 
-def _duration(cell: str) -> float:
-    try:
-        dur = _number(cell)
-    except ValueError as exc:
-        raise FlowParseError("bad_duration", cell) from exc
-    if not np.isfinite(dur):
-        raise FlowParseError("bad_duration", cell)
-    if dur < 0:
-        raise FlowParseError("negative_duration", cell)
-    return dur
-
-
-def _count(name: str, least: int):
-    """The rule of a count cell: its truncated number, at least least."""
-    def rule(cell: str) -> int:
-        try:
-            value = int(_number(cell))
-        except (ValueError, OverflowError) as exc:
-            raise FlowParseError(f"bad_{name}", cell) from exc
-        if value < 0:
-            raise FlowParseError(f"negative_{name}", cell)
-        if value < least:
-            raise FlowParseError(f"bad_{name}", cell)
-        return value
-    return rule
-
-
-def _required(reason: str):
-    """The rule of a text cell that may not be empty."""
-    def rule(cell: str) -> str:
-        cell = cell.strip()
-        if not cell:
-            raise FlowParseError(reason)
-        return cell
-    return rule
+def _required(cell: str) -> Optional[str]:
+    return cell.strip() or None
 
 
 def _optional(cell: str) -> str:
     return cell.strip() or ABSENT
 
 
-def _label(cell: str) -> str:
+def _label(cell: str) -> Optional[str]:
     label = cell.strip()
-    if label and not label.startswith("flow="):
-        raise FlowParseError("bad_label", label)
-    return label
+    return None if label and not label.startswith("flow=") else label
 
 
-def _type_of_service(cell: str) -> str:
+def _type_of_service(cell: str) -> Optional[str]:
     """The text of the ToS byte's integer value, ABSENT for an empty
     cell."""
-    cell = cell.strip()
-    if not cell:
+    text = cell.strip()
+    if not text:
         return ABSENT
-    try:
-        return str(int(_number(cell)))
-    except (ValueError, OverflowError) as exc:
-        raise FlowParseError("bad_tos", cell) from exc
-
-
-# Per canonical column, in the order _reason checks them: the FlowTable
-# column it fills, and the rule that gives a cell's value or raises
-# FlowParseError with the row's reason code. A text column's value is its
-# FlowTable string. _decode_columns applies the rules of the text columns
-# to each distinct cell and decodes the others with numpy; _reason
-# applies them all to one rejected row, checking SrcBytes against
-# TotBytes right after SrcBytes.
-_CELL_RULES = (
-    ("StartTime", "start_time", parse_timestamp),
-    ("Dur", "dur", _duration),
-    ("SrcAddr", "src_addr", _required("missing_src_addr")),
-    ("DstAddr", "dst_addr", _required("missing_dst_addr")),
-    ("TotPkts", "tot_pkts", _count("packet_count", 1)),
-    ("TotBytes", "tot_bytes", _count("byte_count", 0)),
-    ("SrcBytes", "src_bytes", _count("byte_count", 0)),
-    ("Label", "label", _label),
-    ("Proto", "proto", lambda cell: cell.strip().lower()),
-    ("Sport", "sport", _optional),
-    ("Dir", "dir", str.strip),
-    ("Dport", "dport", _optional),
-    ("State", "state", _optional),
-    ("sTos", "s_tos", _type_of_service),
-    ("dTos", "d_tos", _type_of_service),
-)
-
-
-def _cell_text(rule, cell: str) -> Optional[str]:
-    """The FlowTable string of cell under rule, None where the rule
-    rejects it."""
-    try:
-        return rule(cell)
-    except FlowParseError:
+    if not _is_number_text(text):
         return None
+    try:
+        return str(int(float(text)))
+    except (ValueError, OverflowError):
+        return None
+
+
+# Per text column: the FlowTable column it fills, the reason code of a row
+# whose cell the column refuses, and the rule, which gives a cell's
+# FlowTable string or None where it refuses the cell. _decode_columns
+# applies each rule once to each distinct cell of a load, and refuses a
+# cell holding bytes that were not UTF-8 as well: the only cells refused
+# in the columns whose rule refuses none.
+_CELL_RULES = (
+    ("SrcAddr", "src_addr", "missing_src_addr", _required),
+    ("DstAddr", "dst_addr", "missing_dst_addr", _required),
+    ("Label", "label", "bad_label", _label),
+    ("sTos", "s_tos", "bad_tos", _type_of_service),
+    ("dTos", "d_tos", "bad_tos", _type_of_service),
+    ("Proto", "proto", "bad_encoding", lambda cell: cell.strip().lower()),
+    ("Sport", "sport", "bad_encoding", _optional),
+    ("Dir", "dir", "bad_encoding", str.strip),
+    ("Dport", "dport", "bad_encoding", _optional),
+    ("State", "state", "bad_encoding", _optional),
+)
 
 
 def _is_utf8(text: str) -> bool:
@@ -342,53 +288,37 @@ _DTYPES = dict(zip(_NUMERIC, (np.int64, *[np.float64] * 4)))
 
 
 class _TableBuilder:
-    """Collects accepted flows chunk by chunk. A string column's values
-    get ids in order of first appearance; once all chunks are in, the
-    values of accepted flows are sorted and the ids renumbered."""
+    """Collects accepted flows chunk by chunk. A string column's value gets
+    as id the position of its first cell among the distinct cells met;
+    once all chunks are in, the values of accepted flows are sorted and
+    the ids renumbered."""
 
     def __init__(self):
         self.chunks = []
-        # per string column: each value, and each valid cell text decoded
-        # so far, to the id of its value; and id -> value. A value decodes
-        # to itself, so the two kinds of key agree. The one exception, a
-        # ToS cell reading ABSENT, _decode_columns rejects on its own.
+        # per string column: each cell text decoded so far to the id of
+        # its value; and each value to its id, None (a refused cell) to -1
         self.ids = {name: {} for name in CATEGORICAL_SUMMARY_COLUMNS}
-        self.values = {name: [] for name in CATEGORICAL_SUMMARY_COLUMNS}
-
-    def ids_of(self, column: str, values: list) -> np.ndarray:
-        """The ids of values, None reading -1; a new value gets the next
-        id."""
-        ids, known = self.ids[column], self.values[column]
-        fresh = dict.fromkeys(filterfalse(ids.__contains__, values))
-        fresh.pop(None, None)
-        ids.update(zip(fresh, count(len(known))))
-        known.extend(fresh)
-        return np.fromiter(map(ids.get, values, repeat(-1)), np.int32,
-                           len(values))
+        self.value_ids = {name: {None: -1}
+                          for name in CATEGORICAL_SUMMARY_COLUMNS}
 
     def cell_ids(self, column: str, cells: Sequence[str], rule):
         """Per cell, the id of its value under rule, or -1 where the rule
-        or the UTF-8 check rejects the cell. A valid cell text is decoded
-        once per load."""
-        ids, known = self.ids[column], self.values[column]
-        codes = np.fromiter(map(ids.get, cells, repeat(-1)), np.int32,
+        refuses the cell or it is not UTF-8. A cell text is decoded once
+        per load."""
+        ids, value_ids = self.ids[column], self.value_ids[column]
+        codes = np.fromiter(map(ids.get, cells, repeat(-2)), np.int32,
                             len(cells))
-        unseen = codes < 0
+        unseen = codes == -2
         if unseen.any():
             cells = list(compress(cells, unseen.tolist()))
             new = list(dict.fromkeys(cells))
-            values = [_cell_text(rule, cell) for cell in new]
+            values = list(map(rule, new))
             if not "".join(new).isascii():
                 values = [v if _is_utf8(c) else None
                           for c, v in zip(new, values)]
-            if all(map(is_, values, new)):  # each cell is its own value
-                ids.update(zip(new, count(len(known))))
-                known.extend(new)
-            else:  # an invalid cell stays out, to be decoded again
-                new_ids = self.ids_of(column, values)
-                ids.update(compress(zip(new, new_ids.tolist()),
-                                    (new_ids >= 0).tolist()))
-            codes[unseen] = np.fromiter(map(ids.get, cells, repeat(-1)),
+            ids.update(zip(new, map(value_ids.setdefault, values,
+                                    count(len(ids)))))
+            codes[unseen] = np.fromiter(map(ids.__getitem__, cells),
                                         np.int32, len(cells))
         return codes
 
@@ -398,13 +328,15 @@ class _TableBuilder:
             parts = [chunk.pop(name) for chunk in self.chunks]
             columns[name] = (np.concatenate(parts) if parts
                              else np.empty(0, _DTYPES.get(name, np.int32)))
-        for name, ids in self.ids.items():
+        for name, value_ids in self.value_ids.items():
+            del value_ids[None]
             # a value met only in rejected rows has no flow
-            known = self.values[name]
-            used = np.bincount(columns[name], minlength=len(known))
-            values = sorted(compress(known, used.tolist()))
+            used = np.bincount(columns[name], minlength=len(self.ids[name]))
+            id_of = np.fromiter(value_ids.values(), np.intp, len(value_ids))
+            values = sorted(compress(value_ids, used[id_of].tolist()))
             rank = np.empty(len(used), np.int32)
-            rank[list(map(ids.__getitem__, values))] = np.arange(len(values))
+            rank[list(map(value_ids.__getitem__, values))] = np.arange(
+                len(values))
             columns[name] = StringColumn(tuple(values), rank[columns[name]])
         return FlowTable(**columns, source_path=source_path,
                          parse_stats=parse_stats)
@@ -461,8 +393,8 @@ def _timestamps(cells: Sequence[str]) -> tuple:
 
 
 def _floats(cells: Sequence[str]) -> np.ndarray:
-    """_number() of each cell, NaN where it refuses the cell: no column
-    read this way accepts a NaN."""
+    """float() of each cell, NaN where it refuses the cell or where
+    _is_number_text does: no column read this way accepts a NaN."""
     values, rest = [], iter(cells)
     while len(values) < len(cells):
         try:
@@ -476,29 +408,42 @@ def _floats(cells: Sequence[str]) -> np.ndarray:
 
 
 def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
-    """The columns of rows given as canonical column -> cells, and which
-    rows are valid: those whose every cell passes its rule in _CELL_RULES,
-    with SrcBytes at most TotBytes and all text UTF-8. A valid row's
-    values are those the rules give; the other rows' values are
-    garbage."""
-    t_us, valid = _timestamps(cells["StartTime"])
+    """The columns of rows given as canonical column -> cells, and per row
+    the reason code of the first check it fails, "" for a valid row. A
+    valid row's values are those the rules give; the other rows' values
+    are garbage."""
+    t_us, stamped = _timestamps(cells["StartTime"])
     out = {"t_us": t_us, "dur": _floats(cells["Dur"])}
-    valid &= np.isfinite(out["dur"]) & (out["dur"] >= 0)
-    for name, column, least in (("tot_pkts", "TotPkts", 1),
-                                ("tot_bytes", "TotBytes", 0),
-                                ("src_bytes", "SrcBytes", 0)):
+    # (mask of the rows failing it, reason code), in order
+    checks = [(~stamped, "bad_timestamp"),
+              (~np.isfinite(out["dur"]), "bad_duration"),
+              (out["dur"] < 0, "negative_duration")]
+    refused = {}  # text column -> (mask of the rows it refuses, reason)
+    for column, name, reason, rule in _CELL_RULES:
+        out[name] = builder.cell_ids(name, cells[column], rule)
+        refused[column] = (out[name] < 0, reason)
+    checks += [refused.pop("SrcAddr"), refused.pop("DstAddr")]
+    for name, column, noun, least in (("tot_pkts", "TotPkts", "packet", 1),
+                                      ("tot_bytes", "TotBytes", "byte", 0),
+                                      ("src_bytes", "SrcBytes", "byte", 0)):
         # + 0.0 turns the -0.0 of trunc(-0.5) into int()'s 0
         out[name] = np.trunc(_floats(cells[column])) + 0.0
-        valid &= np.isfinite(out[name]) & (out[name] >= least)
-    valid &= out["src_bytes"] <= out["tot_bytes"]
-    for column, name, rule in _CELL_RULES:
-        if name in builder.ids:
-            out[name] = builder.cell_ids(name, cells[column], rule)
-            valid &= out[name] >= 0
-    for column in ("sTos", "dTos"):  # ABSENT is no number, but a value
-        if not "".join(cells[column]).isascii():
-            valid &= np.array([c.strip() != ABSENT for c in cells[column]])
-    return out, valid
+        checks += [(~np.isfinite(out[name]), f"bad_{noun}_count"),
+                   (out[name] < 0, f"negative_{noun}_count"),
+                   (out[name] < least, f"bad_{noun}_count")]
+    checks += [(out["src_bytes"] > out["tot_bytes"],
+                "src_bytes_exceed_total"),
+               refused.pop("Label"), refused.pop("sTos"), refused.pop("dTos"),
+               *refused.values()]
+    masks, reasons = zip(*checks)
+    reasons = np.select(masks, reasons, "")
+    # bad_encoding comes first. A cell that is not UTF-8 fails a check of
+    # its column: a number or timestamp check refuses non-ASCII text, and
+    # cell_ids refuses such a text cell; so only failing rows need a look.
+    for i in np.flatnonzero(reasons != "").tolist():
+        if not _is_utf8("".join(column[i] for column in cells.values())):
+            reasons[i] = "bad_encoding"
+    return out, reasons
 
 
 # Stands in for a row the csv module could not read; shorter than any row
@@ -520,62 +465,42 @@ def _chunk(reader) -> list:
             rows.append(_UNREADABLE)
 
 
-def _reason(row: list, header_map: dict) -> str:
-    """The reason code of a row that _decode_columns rejects, that of the
-    first check it fails: cell_too_long for _UNREADABLE, short_row,
-    bad_encoding, then the rules in order. A row that fails none was
-    rejected in error: a bug, raised as such."""
-    if row is _UNREADABLE:
-        return "cell_too_long"
-    if len(row) <= max(header_map.values()):
-        return "short_row"
-    cells = {column: row[i] for column, i in header_map.items()}
-    if not _is_utf8("".join(cells.values())):
-        return "bad_encoding"
-    values = {}
-    for column, _, rule in _CELL_RULES:
-        try:
-            values[column] = rule(cells[column])
-        except FlowParseError as exc:
-            return exc.reason
-        if column == "SrcBytes" and values["SrcBytes"] > values["TotBytes"]:
-            return "src_bytes_exceed_total"
-    raise RuntimeError(f"the column decoder rejected a valid row: {row!r}")
-
-
 def _load_chunk(rows: list, first_row: int, header_map: dict,
                 builder: _TableBuilder, stats: ParseStats, name: str):
     """Adds the accepted flows of up to CHUNK_ROWS consecutive data rows,
-    the first numbered first_row, to builder, and tallies the rest."""
-    n = len(rows)
-    accepted = np.zeros(n, bool)
-    width = np.fromiter(map(len, rows), np.intp, n)
-    whole = np.flatnonzero(width > max(header_map.values()))
+    the first numbered first_row, to builder, and tallies the rest. A
+    blank line is no row."""
+    last = max(header_map.values())
+    width = np.fromiter(map(len, rows), np.intp, len(rows))
+    short = np.flatnonzero((width > 0) & (width <= last))
+    rejected = {i: "cell_too_long" if rows[i] is _UNREADABLE else "short_row"
+                for i in short.tolist()}  # row index -> reason code
+    whole = np.flatnonzero(width > last)
     if len(whole):
         # every row at `whole` holds each canonical column: zip cuts the
         # cells by header position there
         cells = list(zip(*[rows[i] for i in whole.tolist()]))
-        decoded, valid = _decode_columns(
+        decoded, reasons = _decode_columns(
             {column: cells[i] for column, i in header_map.items()}, builder)
+        valid = reasons == ""
         builder.chunks.append({key: values[valid]
                                for key, values in decoded.items()})
-        accepted[whole[valid]] = True
-    stats.accepted += int(accepted.sum())
-    for i in np.flatnonzero(~accepted).tolist():
-        if rows[i]:  # a blank line is no row
-            reason = _reason(rows[i], header_map)
-            stats.record_rejection(first_row + i, reason)
-            if stats.rejected <= _MAX_REJECTION_SAMPLES:
-                logger.warning("%s row %d rejected (%s)",
-                               name, first_row + i, reason)
+        stats.accepted += int(valid.sum())
+        rejected.update(zip(whole[~valid].tolist(),
+                            reasons[~valid].tolist()))
+    for i in sorted(rejected):
+        stats.record_rejection(first_row + i, rejected[i])
+        if stats.rejected <= _MAX_REJECTION_SAMPLES:
+            logger.warning("%s row %d rejected (%s)",
+                           name, first_row + i, rejected[i])
 
 
 def load_scenario(path) -> FlowTable:
     """Parse a binetflow CSV file, read as UTF-8, into a FlowTable.
 
     Rows are decoded CHUNK_ROWS at a time, column by column; a rejected
-    row is counted under the reason _reason gives it and its 1-based
-    data row number.
+    row is counted under its reason code and its 1-based data row
+    number.
 
     Fatal on a missing file or a header lacking any canonical column;
     malformed data rows are counted and skipped.

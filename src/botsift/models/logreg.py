@@ -32,6 +32,8 @@ class LogRegParams:
             raise ValueError("c must be > 0")
         if not (self.weight_negative > 0 and self.weight_positive > 0):
             raise ValueError("class weights must be > 0")
+        if not self.tol >= 0:
+            raise ValueError("tol must be >= 0")
 
 
 def _loss_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,

@@ -30,6 +30,8 @@ class NnParams:
     seed: int = 42
 
     def __post_init__(self):
+        if isinstance(self.hidden, int):  # one hidden layer
+            self.hidden = (self.hidden,)
         self.hidden = tuple(int(h) for h in self.hidden)
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be positive")
@@ -37,6 +39,8 @@ class NnParams:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError("bn_momentum must lie in [0, 1]")
         if not self.bn_eps > 0:
             raise ValueError("bn_eps must be > 0")
         if self.epochs < 1 or self.batch_size < 1:

@@ -55,6 +55,8 @@ class SvmParams:
             raise ValueError("epochs must be >= 1")
         if not self.eta0 > 0:
             raise ValueError("eta0 must be > 0")
+        if not (self.weight_negative > 0 and self.weight_positive > 0):
+            raise ValueError("class weights must be > 0")
 
     def effective_l1_ratio(self) -> float:
         if self.penalty == "l1":

@@ -1,16 +1,22 @@
 """Reference parsing for tests: one csv row at a time.
 
-`parse_flow_record` parses one data row into a `FlowRecord`, applying the
-rules of `botsift.flows._CELL_RULES` in order and raising
-`FlowParseError` at the first that fails. `load` is the straightforward
-version of `botsift.flows.load_scenario`: every row of `csv.reader` goes
-through `parse_flow_record` on its own, and `table` turns the accepted
-records into a FlowTable column by column, with none of the program's
-table-building code. The program's column decoder must reproduce it: the
-same tally, the same sample rows and the same columns bit for bit.
+`parse_flow_record` parses one data row into a `FlowRecord`, applying one
+rule per cell in the order of `CHECKS` and raising `FlowParseError` at the
+first that fails. The timestamp rule is `botsift.flows.parse_timestamp`
+and the text rules are those of `botsift.flows._CELL_RULES`; the number
+rules are this module's own, with Python's float() and int() on one cell
+at a time where the program decodes a column with numpy.
+
+`load` is the straightforward version of `botsift.flows.load_scenario`:
+every row of `csv.reader` goes through `parse_flow_record` on its own,
+and `table` turns the accepted records into a FlowTable column by column,
+with none of the program's table-building code. The program's column
+decoder must reproduce it: the same tally, the same sample rows and the
+same columns bit for bit.
 """
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timedelta
 from typing import Optional, Sequence
@@ -18,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from botsift.flows import (_CELL_RULES, ABSENT, FlowParseError, FlowTable,
-                           ParseStats, StringColumn, build_header_map)
+                           ParseStats, StringColumn, build_header_map,
+                           parse_timestamp)
 
 OPTIONAL = ("sport", "dport", "state", "s_tos", "d_tos")
 TEXT = ("proto", "src_addr", "sport", "dir", "dst_addr", "dport", "state",
@@ -47,12 +54,71 @@ class FlowRecord:
     label: str
 
 
+def number(cell: str) -> float:
+    """A binetflow number: plain ASCII, no '_' digit separators."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {cell!r}")
+    return float(cell)
+
+
+def duration(cell: str) -> float:
+    try:
+        dur = number(cell)
+    except ValueError as exc:
+        raise FlowParseError("bad_duration", cell) from exc
+    if not math.isfinite(dur):
+        raise FlowParseError("bad_duration", cell)
+    if dur < 0:
+        raise FlowParseError("negative_duration", cell)
+    return dur
+
+
+def counter(noun: str, least: int):
+    """The rule of a count cell: its truncated number, at least least."""
+    def rule(cell: str) -> int:
+        try:
+            value = int(number(cell))
+        except (ValueError, OverflowError) as exc:
+            raise FlowParseError(f"bad_{noun}_count", cell) from exc
+        if value < 0:
+            raise FlowParseError(f"negative_{noun}_count", cell)
+        if value < least:
+            raise FlowParseError(f"bad_{noun}_count", cell)
+        return value
+    return rule
+
+
+def text_rule(reason: str, rule):
+    """A rule of _CELL_RULES, raising FlowParseError where it refuses."""
+    def checked(cell: str) -> str:
+        value = rule(cell)
+        if value is None:
+            raise FlowParseError(reason, cell)
+        return value
+    return checked
+
+
+RULES = {"StartTime": ("start_time", parse_timestamp),
+         "Dur": ("dur", duration),
+         "TotPkts": ("tot_pkts", counter("packet", 1)),
+         "TotBytes": ("tot_bytes", counter("byte", 0)),
+         "SrcBytes": ("src_bytes", counter("byte", 0)),
+         **{column: (name, text_rule(reason, rule))
+            for column, name, reason, rule in _CELL_RULES}}
+# The order in which a row's cells are checked: a row is rejected with
+# the reason of the first that fails, src_bytes_exceed_total coming right
+# after SrcBytes.
+CHECKS = ("StartTime", "Dur", "SrcAddr", "DstAddr", "TotPkts", "TotBytes",
+          "SrcBytes", "Label", "sTos", "dTos", "Proto", "Sport", "Dir",
+          "Dport", "State")
+
+
 def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
     """Parse one CSV data row into a FlowRecord.
 
     Raises FlowParseError with the reason code of the first check the row
-    fails: short_row, bad_encoding, then each rule in order, with
-    src_bytes_exceed_total right after SrcBytes.
+    fails: short_row, bad_encoding, then each cell in the order of CHECKS.
     """
     try:
         cells = {name: row[idx] for name, idx in header_map.items()}
@@ -64,7 +130,8 @@ def parse_flow_record(row: Sequence[str], header_map: dict) -> FlowRecord:
         raise FlowParseError("bad_encoding") from exc
 
     values = {}
-    for column, name, rule in _CELL_RULES:
+    for column in CHECKS:
+        name, rule = RULES[column]
         values[name] = rule(cells[column])
         if name == "src_bytes" and values[name] > values["tot_bytes"]:
             raise FlowParseError("src_bytes_exceed_total",

@@ -178,6 +178,7 @@ class TestTrain:
         ("svm", ["--hp", "kernel=linear", "--hp", "epochs=3"]),
         ("gboost", ["--hp", "n-trees=5"]),
         ("nn", ["--hp", "hidden=8,4", "--hp", "epochs=2"]),
+        ("nn", ["--hp", "hidden=16", "--hp", "epochs=2"]),
     ])
     def test_all_families_train(self, features_csv, tmp_path, family, hp):
         model_path = tmp_path / f"{family}.json"
@@ -227,6 +228,22 @@ class TestSweep:
         rows = read_csv(csv_path)
         assert len(rows) == 5
         assert sum(row[3] == "*" for row in rows[1:]) == 1
+
+    def test_hp_applies_to_every_point(self, features_csv, tmp_path):
+        def sweep(*flags):
+            csv_path = tmp_path / "sweep.csv"
+            assert main(["sweep", str(features_csv), "--model", "logreg",
+                         *flags, "--runs", "1",
+                         "--out-csv", str(csv_path)]) == 0
+            return read_csv(csv_path)[1:]
+
+        # --grid c overrides --hp c; --hp max_iter reaches each point
+        rows = sweep("--grid", "c=1,10", "--hp", "max_iter=1",
+                     "--hp", "c=5")
+        assert [row[0] for row in rows] == ["max_iter=1 c=1 seed=42",
+                                            "max_iter=1 c=10 seed=42"]
+        gridded = sweep("--grid", "max_iter=1", "--grid", "c=1,10")
+        assert [row[1:3] for row in rows] == [row[1:3] for row in gridded]
 
     def test_bad_grid_is_runtime_error(self, features_csv, capsys):
         assert main(["sweep", str(features_csv), "--grid", "n_trees"]) == 1

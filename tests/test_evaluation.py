@@ -261,6 +261,10 @@ class TestMakeParams:
         with pytest.raises(TypeError):
             make_params("rf", {"trees": 5})
 
+    def test_one_hidden_width_is_one_layer(self):
+        # the CLI reads --hp hidden=16 as the int 16
+        assert make_params("nn", {"hidden": 16}).hidden == (16,)
+
     @pytest.mark.parametrize("family,field,value", [
         ("logreg", "c", NAN), ("logreg", "weight_negative", NAN),
         ("logreg", "weight_positive", NAN), ("svm", "gamma", NAN),
@@ -268,7 +272,11 @@ class TestMakeParams:
         ("svm", "eta0", NAN), ("gboost", "learning_rate", NAN),
         ("nn", "learning_rate", NAN), ("nn", "momentum", NAN),
         ("nn", "bn_eps", NAN), ("nn", "bn_eps", 0.0),
-        ("nn", "bn_eps", -1.0)])
+        ("nn", "bn_eps", -1.0), ("svm", "weight_negative", NAN),
+        ("svm", "weight_negative", -1.0), ("svm", "weight_positive", NAN),
+        ("svm", "weight_positive", -1.0), ("nn", "bn_momentum", NAN),
+        ("nn", "bn_momentum", -1.0), ("nn", "bn_momentum", 1.5),
+        ("logreg", "tol", NAN), ("logreg", "tol", -1.0)])
     def test_out_of_range_float_is_refused(self, family, field, value):
         overrides = {field: value}
         if family == "svm":
