@@ -204,6 +204,8 @@ def cmd_bootstrap_eval(args) -> int:
 
 
 def cmd_select(args) -> int:
+    if args.corr_csv and args.method != "filter":
+        raise ValueError("--corr-csv needs --method filter")
     echo_config(args)
     ds = windows.load_features(args.features)
     name = dataset_name(ds, args.features)
@@ -215,9 +217,8 @@ def cmd_select(args) -> int:
             result, f"filter selection on {name}: |r| > {args.threshold:g}")
         lines.append("selected: " + " ".join(result.selected))
         if args.corr_csv:
-            matrix = selection.correlation_matrix(ds)
-            selection.write_correlation_csv(matrix, ds.feature_names,
-                                            args.corr_csv)
+            selection.write_correlation_csv(result.correlations,
+                                            ds.feature_names, args.corr_csv)
             lines.append(f"wrote {args.corr_csv}")
     elif args.method == "backward":
         hp = resolved_params(args.model, args.hp, args.seed)

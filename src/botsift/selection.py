@@ -1,16 +1,19 @@
 """Feature-selection analyses over a windowed dataset: Pearson filter
-with redundancy pruning, backward feature elimination, and PCA."""
+with redundancy pruning over one correlation matrix, backward feature
+elimination, and PCA on the models' standardization."""
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .evaluation import cross_scenario_eval, split_dataset
+from .models import apply_standardizer, fit_standardizer
 from .windows import Dataset
 
 logger = logging.getLogger(__name__)
@@ -18,7 +21,8 @@ logger = logging.getLogger(__name__)
 
 def pearson(x, y) -> float:
     """Product-moment correlation; errors on constant input, where the
-    coefficient is undefined."""
+    coefficient is undefined. r is scale-free, so where the squares of
+    the centered values overflow, both are first scaled to max |v| = 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -27,10 +31,13 @@ def pearson(x, y) -> float:
         raise ValueError("pearson needs at least 2 points")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = float(np.sqrt(xc @ xc))
-    sy = float(np.sqrt(yc @ yc))
+    with np.errstate(over="ignore"):
+        sx = float(np.sqrt(xc @ xc))
+        sy = float(np.sqrt(yc @ yc))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("pearson is undefined for constant input")
+    if math.isinf(sx * sy):
+        return pearson(xc / np.abs(xc).max(), yc / np.abs(yc).max())
     return float((xc @ yc) / (sx * sy))
 
 
@@ -43,65 +50,55 @@ class FilterResult:
     stage1: list                        # |r| > threshold, sorted by |r| desc
     dropped: list                       # (feature, kept_partner, |r| between)
     selected: list                      # stage1 minus redundancy drops
+    correlations: np.ndarray            # correlation_matrix of the dataset
 
 
 def filter_select(ds: Dataset, threshold: float = 0.1,
                   redundancy_threshold: float = 0.95) -> FilterResult:
-    """Stage 1 keeps features whose |pearson(feature, label)| exceeds
-    the threshold; stage 2 repeatedly takes the most-correlated
-    remaining pair above the redundancy threshold and drops the member
-    with the weaker label correlation."""
-    if ds.n < 2:
-        raise ValueError("filter_select needs at least 2 rows")
-    y = ds.labels.astype(float)
+    """Stage 1 keeps the non-constant features whose |pearson(feature,
+    label)| exceeds the threshold, by |r| descending, ties in feature
+    order. Stage 2 repeatedly takes the most-correlated pair of
+    still-selected features above the redundancy threshold (on ties the
+    first pair, row by row in stage-1 order; never a NaN) and drops its
+    later member, the one with the weaker label correlation. Both stages
+    read one correlation_matrix; the pruning calls no pearson."""
+    if math.isnan(threshold) or math.isnan(redundancy_threshold):
+        raise ValueError("filter thresholds must not be NaN")
     if len(np.unique(ds.labels)) < 2:
         raise ValueError("filter_select needs both classes present")
+    matrix = correlation_matrix(ds)
+    y = ds.labels.astype(float)
 
-    label_corr = {}
-    constant = []
-    for j, name in enumerate(ds.feature_names):
-        col = ds.rows[:, j]
-        if np.all(col == col[0]):
-            constant.append(name)
-            continue
-        label_corr[name] = pearson(col, y)
+    names = ds.feature_names
+    usable = ~np.isnan(np.diag(matrix))
+    constant = [nm for nm, ok in zip(names, usable) if not ok]
     if constant:
         logger.warning("constant features excluded from the filter: %s",
                        ", ".join(constant))
+    label_corr = {nm: pearson(ds.rows[:, j], y)
+                  for j, nm in enumerate(names) if usable[j]}
 
-    stage1 = [name for name in label_corr
-              if abs(label_corr[name]) > threshold]
-    stage1.sort(key=lambda nm: (-abs(label_corr[nm]),
-                                ds.feature_names.index(nm)))
+    stage1 = [nm for nm in label_corr if abs(label_corr[nm]) > threshold]
+    stage1.sort(key=lambda nm: (-abs(label_corr[nm]), names.index(nm)))
 
-    cols = {nm: ds.rows[:, ds.feature_names.index(nm)] for nm in stage1}
+    pos = [names.index(nm) for nm in stage1]
+    block = np.abs(matrix[np.ix_(pos, pos)])
+    block[~np.triu(block > redundancy_threshold, 1)] = -np.inf
     selected = list(stage1)
     dropped = []
-    while True:
-        worst = None  # (|r|, pos_i, pos_j)
-        for a in range(len(selected)):
-            for b in range(a + 1, len(selected)):
-                r = abs(pearson(cols[selected[a]], cols[selected[b]]))
-                if r > redundancy_threshold and (worst is None
-                                                 or r > worst[0]):
-                    worst = (r, a, b)
-        if worst is None:
-            break
-        r, a, b = worst
-        fa, fb = selected[a], selected[b]
-        # the stage1 ordering already ranks by |label correlation|
-        drop, keep = (fb, fa) if (abs(label_corr[fa])
-                                  >= abs(label_corr[fb])) else (fa, fb)
-        dropped.append((drop, keep, r))
-        selected.remove(drop)
+    while block.size and block.max() > -np.inf:
+        a, b = divmod(int(np.argmax(block)), len(pos))
+        dropped.append((stage1[b], stage1[a], float(block[a, b])))
+        selected.remove(stage1[b])
+        block[b, :] = block[:, b] = -np.inf
 
     return FilterResult(threshold, redundancy_threshold, label_corr,
-                        constant, stage1, dropped, selected)
+                        constant, stage1, dropped, selected, matrix)
 
 
 def correlation_matrix(ds: Dataset) -> np.ndarray:
-    """Pairwise feature correlations; rows/columns of constant features
-    are marked absent (NaN) throughout, including the diagonal."""
+    """Pairwise feature correlations, one pearson call per pair; rows and
+    columns of constant features are NaN, including the diagonal."""
     if ds.n < 2:
         raise ValueError("correlation_matrix needs at least 2 rows")
     d = len(ds.feature_names)
@@ -111,14 +108,12 @@ def correlation_matrix(ds: Dataset) -> np.ndarray:
     for ai, a in enumerate(usable):
         out[a, a] = 1.0
         for b in usable[ai + 1:]:
-            r = pearson(ds.rows[:, a], ds.rows[:, b])
-            out[a, b] = r
-            out[b, a] = r
+            out[a, b] = out[b, a] = pearson(ds.rows[:, a], ds.rows[:, b])
     return out
 
 
 def write_correlation_csv(matrix: np.ndarray, names, path) -> None:
-    """Tidy (row, col, value) CSV for external heatmap plotting."""
+    """Tidy (row, col, value) CSV; an empty value is a constant feature."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
@@ -209,20 +204,18 @@ class PcaResult:
 def pca(ds: Dataset, k: int) -> PcaResult:
     """Top-k principal components of the standardized feature matrix.
 
-    Features are scaled to unit variance first; raw columns span many
-    orders of magnitude (bytes vs entropies) and would otherwise drown
-    the decomposition. Component signs are fixed by making each
-    vector's largest-magnitude entry positive."""
+    Features are standardized first by the models' own rule
+    (`fit_standardizer`: population mean and std, a constant feature
+    keeps std 1); raw columns span many orders of magnitude (bytes vs
+    entropies) and would otherwise drown the decomposition. Component
+    signs make each vector's largest-magnitude entry positive."""
     d = len(ds.feature_names)
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}]")
     if ds.n < 2:
         raise ValueError("pca needs at least 2 rows")
 
-    mean = ds.rows.mean(axis=0)
-    std = ds.rows.std(axis=0)
-    std[std == 0.0] = 1.0
-    Xs = (ds.rows - mean) / std
+    Xs = apply_standardizer(ds.rows, fit_standardizer(ds.rows))
 
     cov = Xs.T @ Xs / ds.n
     eigenvalues, eigenvectors = np.linalg.eigh(cov)

@@ -294,6 +294,24 @@ class TestSelect:
         assert rows[0] == ["row", "col", "value"]
         assert len(rows) == 1 + 22 * 22
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--redundancy"])
+    def test_filter_refuses_nan_threshold(self, features_csv, capsys, flag):
+        assert main(["select", str(features_csv), "--method", "filter",
+                     flag, "nan"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "NaN" in err[0]
+
+    @pytest.mark.parametrize("method", ["pca", "importance", "backward"])
+    def test_corr_csv_needs_filter(self, features_csv, tmp_path, capsys,
+                                   method):
+        corr_path = tmp_path / "corr.csv"
+        assert main(["select", str(features_csv), "--method", method,
+                     "--corr-csv", str(corr_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --corr-csv needs --method filter"]
+        assert not corr_path.exists()
+
     def test_backward(self, tiny_features_csv, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
         assert main(["select", str(tiny_features_csv),

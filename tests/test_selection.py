@@ -1,14 +1,21 @@
 """Correlation filter, backward elimination, and PCA against
-independent oracles (two-pass Pearson, Jacobi rotations, exhaustive
-removal scan)."""
+independent oracles (two-pass Pearson, the pair-by-pair filter of
+tests/selection_oracle.py, Jacobi rotations, exhaustive removal
+scan)."""
 
 import csv
+import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import selection_oracle
+from botsift import selection
 from botsift.evaluation import prf1
 from botsift.models import LogRegParams, predict, train_model
 from botsift.selection import (FilterResult, backward_elimination,
@@ -140,6 +147,129 @@ def test_filter_requires_both_classes():
     ds = dataset([np.arange(4.0)], [1, 1, 1, 1])
     with pytest.raises(ValueError):
         filter_select(ds)
+
+
+@pytest.mark.parametrize("thresholds", [(math.nan, 0.95), (0.1, math.nan)])
+def test_filter_refuses_nan_thresholds(thresholds):
+    ds, _ = filter_fixture()
+    with pytest.raises(ValueError, match="NaN"):
+        filter_select(ds, *thresholds)
+
+
+def test_pearson_rescales_where_the_squares_overflow():
+    ds, y = filter_fixture(seed=37)
+    x = ds.rows[:, 2]
+    unscaled = pearson(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e160, 1e200, 1e300):
+            assert abs(pearson(x * scale, y) - unscaled) < 1e-12
+            assert abs(pearson(y, x * scale) - unscaled) < 1e-12
+        assert abs(pearson(x * 1e200, x * 1e200) - 1.0) < 1e-12
+
+
+def test_pearson_of_non_finite_input_is_nan():
+    # the overflow rescale must not recurse on inf or NaN cells
+    with np.errstate(invalid="ignore"):
+        for bad in (math.inf, math.nan):
+            assert math.isnan(pearson([1.0, bad, 2.0], [0.0, 1.0, 0.0]))
+
+
+def test_filter_reads_a_huge_column_like_the_unscaled_one():
+    ds, y = filter_fixture(seed=37)
+    rows = ds.rows.copy()
+    rows[:, 0] += 0.5 * rows[:, 2]  # hit now correlates with junk
+    plain = filter_select(Dataset(rows, ds.labels, ds.feature_names))
+    rows[:, 0] *= 1e200
+    huge = filter_select(Dataset(rows, ds.labels, ds.feature_names))
+    assert huge.stage1 == plain.stage1 and huge.selected == plain.selected
+    for name, r in plain.label_correlations.items():
+        assert abs(huge.label_correlations[name] - r) < 1e-12
+    np.testing.assert_allclose(huge.correlations, plain.correlations,
+                               rtol=0, atol=1e-12)
+
+
+def test_filter_calls_pearson_once_per_pair(monkeypatch):
+    rng = np.random.default_rng(53)
+    n, d = 60, 7
+    y = rng.permutation(np.repeat([0, 1], n // 2))
+    base = y + 0.3 * rng.normal(size=n)
+    columns = [base + 0.05 * rng.normal(size=n) for _ in range(d)]
+    ds = dataset(columns, y)
+    calls = []
+
+    def counting_pearson(x, z):
+        calls.append(1)
+        return pearson(x, z)
+
+    monkeypatch.setattr(selection, "pearson", counting_pearson)
+    # no pruning, then pruning down to a single feature: the pruning
+    # loop itself calls pearson for no pair
+    for redundancy in (1.5, -1.0):
+        calls.clear()
+        result = filter_select(ds, 0.0, redundancy)
+        assert len(result.stage1) == d
+        assert len(calls) <= d * (d + 1) // 2
+    assert len(result.selected) == 1 and len(result.dropped) == d - 1
+
+
+def bits(value):
+    """A form of a FilterResult field that is equal only where the two
+    fields are equal bit for bit (float repr round-trips exactly and
+    tells -0.0 from 0.0)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return repr(value)
+
+
+@st.composite
+def filter_cases(draw):
+    """Small datasets whose columns are random, constant, exact copies,
+    negated copies or power-of-two multiples of earlier ones, so exact
+    |r| ties between pairs are common, under names out of column order;
+    thresholds run past both ends of [0, 1] or equal some |r|."""
+    n = draw(st.integers(3, 12))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)
+                  .filter(lambda ls: 0 < sum(ls) < len(ls)))
+    values = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    columns = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(
+            ["random", "random", "constant", "copy", "negated", "scaled",
+             "label"]))
+        if kind == "constant":
+            columns.append(np.full(n, float(draw(values))))
+        elif kind == "label":
+            columns.append(np.asarray(labels, dtype=float))
+        elif kind in ("copy", "negated", "scaled") and columns:
+            source = columns[draw(st.integers(0, len(columns) - 1))]
+            factor = {"copy": 1.0, "negated": -1.0,
+                      "scaled": draw(st.sampled_from([0.25, 2.0, 64.0]))}
+            columns.append(factor[kind] * source)
+        else:
+            columns.append(np.array([float(draw(values))
+                                     for _ in range(n)]))
+    names = draw(st.permutations([f"f{i}" for i in range(len(columns))]))
+    ds = dataset(columns, labels, names)
+    # a cutoff equal to some |r| of the case tests the strict inequality
+    matrix = selection_oracle.correlations(
+        dataset(columns + [np.asarray(labels, dtype=float)], labels))
+    seen = sorted({float(r) for r in np.abs(matrix[~np.isnan(matrix)])})
+    cutoffs = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.5, 0.95,
+                                         1.0, 1.5]),
+                        st.floats(-2.0, 2.0), st.sampled_from(seen))
+    return ds, draw(cutoffs), draw(cutoffs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(filter_cases())
+def test_filter_matches_pair_by_pair_oracle(case):
+    ds, threshold, redundancy = case
+    got = filter_select(ds, threshold, redundancy)
+    want = selection_oracle.filter_select(ds, threshold, redundancy)
+    for f in dataclasses.fields(FilterResult):
+        assert bits(getattr(got, f.name)) == bits(getattr(want, f.name)), \
+            f.name
 
 
 def test_correlation_matrix_values_and_nan_policy():
