@@ -206,7 +206,13 @@ def cmd_bootstrap_eval(args) -> int:
 def cmd_select(args) -> int:
     if args.corr_csv and args.method != "filter":
         raise ValueError("--corr-csv needs --method filter")
-    echo_config(args)
+    if args.method == "importance" and args.model != "rf":
+        raise ValueError("importance selection requires --model rf")
+    extra = {}
+    if args.method in ("backward", "importance"):
+        hp = resolved_params(args.model, args.hp, args.seed)
+        extra["resolved_hyperparams"] = hp
+    echo_config(args, extra)
     ds = windows.load_features(args.features)
     name = dataset_name(ds, args.features)
     lines = []
@@ -221,7 +227,6 @@ def cmd_select(args) -> int:
                                             ds.feature_names, args.corr_csv)
             lines.append(f"wrote {args.corr_csv}")
     elif args.method == "backward":
-        hp = resolved_params(args.model, args.hp, args.seed)
         trace = selection.backward_elimination(ds, args.model, hp,
                                                args.seed)
         table = reports.trace_table(
@@ -234,9 +239,6 @@ def cmd_select(args) -> int:
             print(f"wrote {args.out_csv}")
         return 0
     elif args.method == "importance":
-        if args.model != "rf":
-            raise ValueError("importance selection requires --model rf")
-        hp = resolved_params("rf", args.hp, args.seed)
         artifact = train_model("rf", ds, hp)
         table = reports.importance_table(
             ds.feature_names,

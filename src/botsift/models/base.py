@@ -104,5 +104,5 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + e^z), computed stably: finite for any z."""
-    return np.where(z > 0, z + np.log1p(np.exp(-z)), np.log1p(np.exp(z)))
+    """log(1 + e^z), computed stably: no exp overflows for any z."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))

@@ -18,25 +18,28 @@ from .windows import Dataset
 
 logger = logging.getLogger(__name__)
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 def pearson(x, y) -> float:
-    """Product-moment correlation; errors on constant input, where the
-    coefficient is undefined. r is scale-free, so where the squares of
-    the centered values overflow, both are first scaled to max |v| = 1."""
+    """Product-moment correlation; errors on constant input (all values
+    equal), where the coefficient is undefined. r is scale-free, so where
+    the squares of the centered values underflow or their product
+    overflows, both are first scaled to max |v| = 1."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("pearson needs two equal-length vectors")
     if x.shape[0] < 2:
         raise ValueError("pearson needs at least 2 points")
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        raise ValueError("pearson is undefined for constant input")
     xc = x - x.mean()
     yc = y - y.mean()
     with np.errstate(over="ignore"):
-        sx = float(np.sqrt(xc @ xc))
-        sy = float(np.sqrt(yc @ yc))
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("pearson is undefined for constant input")
-    if math.isinf(sx * sy):
+        sxx, syy = float(xc @ xc), float(yc @ yc)
+    sx, sy = math.sqrt(sxx), math.sqrt(syy)
+    if sxx < _TINY or syy < _TINY or math.isinf(sx * sy):
         return pearson(xc / np.abs(xc).max(), yc / np.abs(yc).max())
     return float((xc @ yc) / (sx * sy))
 

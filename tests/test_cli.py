@@ -131,6 +131,47 @@ def test_report_does_not_depend_on_cpu_count(command, flows_csv,
         assert "threads = 1" in outputs[0]
 
 
+def config_lines(out):
+    """The echoed configuration: the indented lines after the header."""
+    lines = out.splitlines()
+    assert lines[0] == "effective config:"
+    block = []
+    for line in lines[1:]:
+        if not line.startswith("  "):
+            break
+        block.append(line.strip())
+    return block
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "crossscen",
+                                     "bootstrap-eval", "select-backward",
+                                     "select-importance"])
+def test_model_commands_echo_resolved_hyperparams(command, tiny_features_csv,
+                                                  tmp_path, capsys):
+    features = str(tiny_features_csv)
+    model = str(tmp_path / "rf.json")
+    hp = ["--hp", "n-trees=3"]
+    if command == "eval":
+        assert main(["train", features, *hp, "-o", model]) == 0
+        capsys.readouterr()
+    argv = {"train": ["train", features, *hp, "-o", model],
+            "eval": ["eval", features, "--model-file", model],
+            "crossscen": ["crossscen", "--train", features,
+                          "--test", features, *hp],
+            "bootstrap-eval": ["bootstrap-eval", features, "--factor", "2",
+                               "--runs", "1", *hp],
+            "select-backward": ["select", features, "--method", "backward",
+                                *hp],
+            "select-importance": ["select", features,
+                                  "--method", "importance", *hp]}[command]
+    assert main(argv) == 0
+    resolved = [line for line in config_lines(capsys.readouterr().out)
+                if line.startswith("resolved_hyperparams = ")]
+    assert len(resolved) == 1
+    assert resolved[0].startswith(
+        "resolved_hyperparams = ForestParams(n_trees=3,")
+
+
 class TestExtract:
     def test_defaults_echoed_and_file_written(self, flows_csv, tmp_path,
                                               capsys):
@@ -329,6 +370,25 @@ class TestSelect:
         assert main(["select", str(features_csv), "--method", "importance",
                      "--model", "gboost"]) == 1
         assert "requires --model rf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method,flags,message", [
+        ("importance", ["--model", "gboost"], "requires --model rf"),
+        ("importance", ["--hp", "trees=3"], "trees"),
+        ("backward", ["--hp", "n_trees"], "not key=value")])
+    def test_model_settings_are_checked_before_the_file(
+            self, tmp_path, capsys, method, flags, message):
+        assert main(["select", str(tmp_path / "missing.csv"),
+                     "--method", method, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and "missing.csv" not in captured.err
+
+    @pytest.mark.parametrize("method", ["filter", "pca"])
+    def test_filter_and_pca_echo_no_hyperparameters(self, features_csv,
+                                                    capsys, method):
+        assert main(["select", str(features_csv), "--method", method]) == 0
+        assert not any(line.startswith("resolved_hyperparams")
+                       for line in config_lines(capsys.readouterr().out))
 
     def test_importance(self, features_csv, tmp_path, capsys):
         csv_path = tmp_path / "imp.csv"

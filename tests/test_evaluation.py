@@ -276,7 +276,8 @@ class TestMakeParams:
         ("svm", "weight_negative", -1.0), ("svm", "weight_positive", NAN),
         ("svm", "weight_positive", -1.0), ("nn", "bn_momentum", NAN),
         ("nn", "bn_momentum", -1.0), ("nn", "bn_momentum", 1.5),
-        ("logreg", "tol", NAN), ("logreg", "tol", -1.0)])
+        ("logreg", "tol", NAN), ("logreg", "tol", -1.0),
+        ("logreg", "max_iter", -3)])
     def test_out_of_range_float_is_refused(self, family, field, value):
         overrides = {field: value}
         if family == "svm":

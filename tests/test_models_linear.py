@@ -5,6 +5,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from botsift.models import predict, train_model
 from botsift.models.base import load_artifact
@@ -27,6 +29,55 @@ def separable_1d(seed=4, n=100):
                         rng.uniform(0.5, 3, n // 2)])
     y = (x > 0).astype(int)
     return Dataset(x[:, None], y, ["x"]), x, y
+
+
+@st.composite
+def weighted_problems(draw):
+    """Small weighted datasets with both classes; some with a constant
+    column, some separable, some without penalty (c=inf), and class
+    weights down to 1e-9."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(4, 40))
+    d = draw(st.integers(1, 4))
+    X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, d)
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = rng.normal()
+    if draw(st.booleans()):  # separable by a random hyperplane
+        margin = X @ rng.normal(size=d)
+        labels = (margin > np.median(margin)).astype(int)
+        labels[np.argsort(margin)[[0, -1]]] = [0, 1]
+    else:
+        labels = rng.integers(0, 2, n)
+        labels[:2] = [0, 1]
+    weights = st.sampled_from([1e-9, 0.044, 1.0, 5.0])
+    hp = LogRegParams(c=draw(st.sampled_from([float("inf"), 550.0, 1.0,
+                                              0.01])),
+                      weight_negative=draw(weights),
+                      weight_positive=draw(weights))
+    return X, labels, hp
+
+
+def make_objective(X, labels, hp):
+    """(loss, gradient) of weighted BCE + ||w||^2 / (2c) at theta = (w, b)
+    on the rows as train_model standardizes them."""
+    std = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(std == 0, 1.0, std)
+    sign = np.where(labels == 1, 1.0, -1.0)
+    sw = np.where(labels == 1, hp.weight_positive, hp.weight_negative)
+    n = len(labels)
+
+    def objective(theta):
+        w, b = theta[:-1], theta[-1]
+        z = Xs @ w + b
+        loss = np.sum(sw * np.logaddexp(0.0, -sign * z)) / n
+        loss += w @ w / (2.0 * hp.c)
+        # d/dz log(1 + e^(-s z)) = -s / (1 + e^(s z))
+        #                        = -s (1 - tanh(s z / 2)) / 2
+        dz = -sign * sw * 0.5 * (1.0 - np.tanh(sign * z / 2.0)) / n
+        grad = np.append(Xs.T @ dz + w / hp.c, np.sum(dz))
+        return loss, grad
+
+    return objective
 
 
 class TestLogReg:
@@ -96,6 +147,43 @@ class TestLogReg:
             LogRegParams(c=0.0)
         with pytest.raises(ValueError):
             LogRegParams(weight_negative=0.0)
+
+    def test_no_penalty_with_a_constant_feature_fits(self):
+        # c=inf leaves the constant column's row and column of the
+        # Hessian all zero: the Newton system is singular
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(300, 4))
+        X[:, 2] = 5.0
+        y = (X[:, 0] + rng.normal(size=300) > 0).astype(int)
+        artifact = train_model("logreg", Dataset(X, y, list("abcd")),
+                               LogRegParams(c=float("inf")))
+        assert artifact.metadata["converged"] is True
+        weights = np.array(artifact.parameters["weights"])
+        assert np.all(np.isfinite(weights))
+        assert abs(weights[2]) < 1e-9
+
+    @settings(deadline=None, max_examples=150)
+    @given(weighted_problems())
+    def test_fit_is_the_optimum_of_the_objective(self, problem):
+        X, labels, hp = problem
+        artifact = train_model("logreg", Dataset(
+            X, labels, [f"f{j}" for j in range(X.shape[1])]), hp)
+        assert artifact.metadata["converged"] is True
+        objective = make_objective(X, labels, hp)
+        theta = np.append(artifact.parameters["weights"],
+                          artifact.parameters["bias"])
+        loss, grad = objective(theta)
+        assert np.linalg.norm(grad) < hp.tol
+        # a convex function lies above its tangent, so no step lowers
+        # the objective by more than |grad| * |step|
+        rng = np.random.default_rng(0)
+        slack = 1e-12 * (1.0 + abs(loss))
+        for scale in (1e-4, 1e-2, 1.0, 10.0):
+            for _ in range(8):
+                step = rng.normal(size=theta.size)
+                step *= scale / np.linalg.norm(step)
+                assert objective(theta + step)[0] >= (
+                    loss - hp.tol * scale - slack)
 
 
 def separable_2d(seed=2, n=120):

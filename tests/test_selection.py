@@ -168,6 +168,23 @@ def test_pearson_rescales_where_the_squares_overflow():
         assert abs(pearson(x * 1e200, x * 1e200) - 1.0) < 1e-12
 
 
+def test_pearson_rescales_where_the_squares_underflow():
+    # the centered squares of the first column are all below 1e-308
+    assert abs(pearson([1e-170, 0.0, 0.0, 2e-170], [0.0, 1.0, 0.0, 1.0])
+               - pearson([1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.0, 1.0])) < 1e-12
+    ds, y = filter_fixture(seed=37)
+    x = ds.rows[:, 2]
+    unscaled = pearson(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-160, 1e-200, 1e-300):
+            assert abs(pearson(x * scale, y) - unscaled) < 1e-12
+            assert abs(pearson(y, x * scale) - unscaled) < 1e-12
+            assert abs(pearson(x * scale, y * scale) - unscaled) < 1e-12
+    with pytest.raises(ValueError, match="constant"):
+        pearson([1e-170, 1e-170, 1e-170], [0.0, 1.0, 0.0])
+
+
 def test_pearson_of_non_finite_input_is_nan():
     # the overflow rescale must not recurse on inf or NaN cells
     with np.errstate(invalid="ignore"):
