@@ -4,14 +4,16 @@ augmentation, hyperparameter sweeps, and cross-scenario evaluation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
+from .config import Count, require
 from .models import make_params, predict, train_model
 from .windows import Dataset
 
 METRIC_KEYS = ("precision", "recall", "f1")
+_FRACTION = Annotated[float, "(0, 1)"]
 
 
 @dataclass
@@ -52,7 +54,7 @@ def prf1(y_true, y_pred) -> Metrics:
 def split_dataset(ds: Dataset, train_frac: float, seed: int):
     """Uniform random partition; train side gets floor(train_frac * n)
     rows. Both sides keep row order and feature names."""
-    _check_train_frac(train_frac)
+    require("train_frac", train_frac, _FRACTION)
     n_train = int(train_frac * ds.n)
     if n_train == 0 or n_train == ds.n:
         raise ValueError(
@@ -63,26 +65,10 @@ def split_dataset(ds: Dataset, train_frac: float, seed: int):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
-def _check_train_frac(train_frac):
-    if not 0.0 < train_frac < 1.0:
-        raise ValueError("train_frac must lie strictly between 0 and 1")
-
-
-def _check_runs(n_runs):
-    if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
-
-
-def _check_factor(factor):
-    if int(factor) != factor or factor < 1:
-        raise ValueError(
-            f"bootstrap factor must be an integer >= 1, got {factor!r}")
-
-
 def bootstrap_resample(train: Dataset, factor: int, seed: int) -> Dataset:
     """factor * n rows drawn uniformly with replacement from the
     training data. Test data is never resampled."""
-    _check_factor(factor)
+    require("factor", factor, Count)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, train.n, size=int(factor) * train.n)
     return train.subset(idx)
@@ -124,9 +110,8 @@ def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
                   bootstrap_factor: Optional[int] = None) -> RepeatedMetrics:
     """n_runs independent split/train/test passes; run i uses split
     seed = seed + i."""
-    _check_runs(n_runs)
-    if bootstrap_factor is not None:
-        _check_factor(bootstrap_factor)
+    require("n_runs", n_runs, Count)
+    require("bootstrap_factor", bootstrap_factor, Optional[Count])
     result = RepeatedMetrics()
     for i in range(n_runs):
         try:
@@ -164,16 +149,17 @@ def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
     """Evaluates every grid point with repeated_eval; a point whose
     runs fail is recorded and the sweep continues. Best = highest mean
     test f1, first grid point on ties. Errors of the arguments every
-    point shares are raised before the first point."""
+    point shares, and of each point's params, are raised before the
+    first point."""
     if not grid:
         raise ValueError("grid must be nonempty")
-    _check_runs(n_runs)
-    _check_train_frac(train_frac)
+    require("n_runs", n_runs, Count)
+    require("train_frac", train_frac, _FRACTION)
+    params = [make_params(family, dict(point)) for point in grid]
     entries = []
     best_index = None
     best_f1 = -1.0
-    for point in grid:
-        hp = make_params(family, dict(point))
+    for point, hp in zip(grid, params):
         try:
             rm = repeated_eval(ds, family, hp, n_runs, seed, train_frac)
         except Exception as exc:

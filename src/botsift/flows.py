@@ -288,24 +288,22 @@ _DTYPES = dict(zip(_NUMERIC, (np.int64, *[np.float64] * 4)))
 
 
 class _TableBuilder:
-    """Collects accepted flows chunk by chunk. A string column's value gets
-    as id the position of its first cell among the distinct cells met;
-    once all chunks are in, the values of accepted flows are sorted and
-    the ids renumbered."""
+    """Collects accepted flows chunk by chunk. Each distinct cell of a
+    string column gets a provisional id, its position among the distinct
+    cells met; once all chunks are in, the values of accepted flows are
+    sorted, cells of equal value merged and the ids renumbered."""
 
     def __init__(self):
         self.chunks = []
-        # per string column: each cell text decoded so far to the id of
-        # its value; and each value to its id, None (a refused cell) to -1
+        # per string column: each cell text decoded so far to its
+        # provisional id, -1 if refused; and each id's value, None if refused
         self.ids = {name: {} for name in CATEGORICAL_SUMMARY_COLUMNS}
-        self.value_ids = {name: {None: -1}
-                          for name in CATEGORICAL_SUMMARY_COLUMNS}
+        self.values = {name: [] for name in CATEGORICAL_SUMMARY_COLUMNS}
 
     def cell_ids(self, column: str, cells: Sequence[str], rule):
-        """Per cell, the id of its value under rule, or -1 where the rule
-        refuses the cell or it is not UTF-8. A cell text is decoded once
-        per load."""
-        ids, value_ids = self.ids[column], self.value_ids[column]
+        """Per cell, its provisional id, or -1 where the rule refuses the
+        cell or it is not UTF-8. A cell text is decoded once per load."""
+        ids, known = self.ids[column], self.values[column]
         codes = np.fromiter(map(ids.get, cells, repeat(-2)), np.int32,
                             len(cells))
         unseen = codes == -2
@@ -316,8 +314,9 @@ class _TableBuilder:
             if not "".join(new).isascii():
                 values = [v if _is_utf8(c) else None
                           for c, v in zip(new, values)]
-            ids.update(zip(new, map(value_ids.setdefault, values,
-                                    count(len(ids)))))
+            ids.update((c, -1 if v is None else i) for i, (c, v)
+                       in enumerate(zip(new, values), len(known)))
+            known.extend(values)
             codes[unseen] = np.fromiter(map(ids.__getitem__, cells),
                                         np.int32, len(cells))
         return codes
@@ -328,16 +327,13 @@ class _TableBuilder:
             parts = [chunk.pop(name) for chunk in self.chunks]
             columns[name] = (np.concatenate(parts) if parts
                              else np.empty(0, _DTYPES.get(name, np.int32)))
-        for name, value_ids in self.value_ids.items():
-            del value_ids[None]
-            # a value met only in rejected rows has no flow
-            used = np.bincount(columns[name], minlength=len(self.ids[name]))
-            id_of = np.fromiter(value_ids.values(), np.intp, len(value_ids))
-            values = sorted(compress(value_ids, used[id_of].tolist()))
-            rank = np.empty(len(used), np.int32)
-            rank[list(map(value_ids.__getitem__, values))] = np.arange(
-                len(values))
-            columns[name] = StringColumn(tuple(values), rank[columns[name]])
+        for name, values in self.values.items():
+            # a cell met only in rejected rows has no flow
+            used = np.bincount(columns[name], minlength=len(values)) > 0
+            merged = StringColumn.of(list(compress(values, used.tolist())))
+            rank = np.empty(len(values), np.int32)
+            rank[used] = merged.codes
+            columns[name] = StringColumn(merged.values, rank[columns[name]])
         return FlowTable(**columns, source_path=source_path,
                          parse_stats=parse_stats)
 

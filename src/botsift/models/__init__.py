@@ -12,10 +12,11 @@ runs on one BLAS thread; scoring uses numpy's default pool.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, NamedTuple
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
+from ..config import build, require
 from ..windows import Dataset
 from . import boosting, forest, logreg, nn, svm
 from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, apply_standardizer,
@@ -54,8 +55,7 @@ FAMILIES = {
 
 
 def _family(tag: str) -> Family:
-    if tag not in FAMILIES:
-        raise ValueError(f"unknown model family {tag!r}")
+    require("model family", tag, Literal[tuple(FAMILIES)])
     return FAMILIES[tag]
 
 
@@ -82,7 +82,7 @@ def train_model(family: str, ds: Dataset, hp) -> ModelArtifact:
 
 def make_params(family: str, overrides: dict):
     """Params object for a family from a {name: value} mapping."""
-    return _family(family).params(**overrides)
+    return build(_family(family).params, overrides)
 
 
 def predict(artifact: ModelArtifact, rows: np.ndarray):

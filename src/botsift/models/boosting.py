@@ -10,30 +10,24 @@ stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
+from ..config import Count, check
 from . import trees
 from .base import ModelArtifact, sigmoid, softplus
 
 
 @dataclass
 class BoostingParams:
-    loss: str = "exponential"  # exponential | deviance
-    n_trees: int = 100
-    max_depth: int = 4
-    learning_rate: float = 0.1
+    loss: Literal["exponential", "deviance"] = "exponential"
+    n_trees: Count = 100
+    max_depth: Count = 4
+    learning_rate: Annotated[float, "(0, inf]"] = 0.1
     seed: int = 42
 
-    def __post_init__(self):
-        if self.loss not in ("exponential", "deviance"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+    __post_init__ = check
 
 
 def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):

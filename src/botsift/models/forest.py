@@ -17,21 +17,18 @@ from typing import Optional
 
 import numpy as np
 
+from ..config import Count, check
 from . import trees
 from .base import ModelArtifact
 
 
 @dataclass
 class ForestParams:
-    n_trees: int = 100
-    max_depth: Optional[int] = None  # None = unbounded
+    n_trees: Count = 100
+    max_depth: Optional[Count] = None  # None: unbounded
     seed: int = 42
 
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
+    __post_init__ = check
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,

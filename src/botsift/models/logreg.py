@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
+from ..config import check
 from .base import ModelArtifact, sigmoid, softplus
 
 logger = logging.getLogger(__name__)
@@ -24,22 +26,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class LogRegParams:
-    c: float = 550.0
-    weight_negative: float = 0.044
-    weight_positive: float = 1.0
-    max_iter: int = 500     # Newton steps
-    tol: float = 1e-6       # bound on |gradient|
+    c: Annotated[float, "(0, inf]"] = 550.0
+    weight_negative: Annotated[float, "(0, inf]"] = 0.044
+    weight_positive: Annotated[float, "(0, inf]"] = 1.0
+    max_iter: Annotated[int, "[0, inf)"] = 500  # Newton steps
+    tol: Annotated[float, "[0, inf]"] = 1e-6    # bound on |gradient|
     seed: int = 42
 
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("c must be > 0")
-        if not (self.weight_negative > 0 and self.weight_positive > 0):
-            raise ValueError("class weights must be > 0")
-        if not self.max_iter >= 0:
-            raise ValueError("max_iter must be >= 0")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+    __post_init__ = check
 
 
 def fit(X: np.ndarray, labels: np.ndarray, hp: LogRegParams):

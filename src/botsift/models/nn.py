@@ -11,40 +11,32 @@ from logits. It fits and scores standardized rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence, Union
 
 import numpy as np
 
+from ..config import Count, check
 from .base import ModelArtifact, jsonable, sigmoid, softplus
 
 
 @dataclass
 class NnParams:
-    hidden: Sequence[int] = (256, 128)
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    epochs: int = 10
-    batch_size: int = 32
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
+    hidden: Union[Count, Sequence[Count]] = (256, 128)  # an int: one layer
+    learning_rate: Annotated[float, "(0, inf]"] = 0.01
+    momentum: Annotated[float, "[0, 1)"] = 0.9
+    epochs: Count = 10
+    batch_size: Count = 32
+    bn_momentum: Annotated[float, "[0, 1]"] = 0.1
+    bn_eps: Annotated[float, "(0, inf]"] = 1e-5
     seed: int = 42
 
     def __post_init__(self):
-        if isinstance(self.hidden, int):  # one hidden layer
+        check(self)
+        if not isinstance(self.hidden, (list, tuple)):
             self.hidden = (self.hidden,)
-        self.hidden = tuple(int(h) for h in self.hidden)
-        if not self.hidden or any(h < 1 for h in self.hidden):
-            raise ValueError("hidden widths must be positive")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError("bn_momentum must lie in [0, 1]")
-        if not self.bn_eps > 0:
-            raise ValueError("bn_eps must be > 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        self.hidden = tuple(self.hidden)
+        if not self.hidden:
+            raise ValueError("hidden needs at least one width")
 
 
 def parameter_counts(n_features: int, hidden: Sequence[int]):

@@ -14,49 +14,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import Annotated, Literal
 
 import numpy as np
 
+from ..config import Count, check
 from .base import ModelArtifact, sigmoid
 
 
 @dataclass
 class SvmParams:
-    kernel: str = "linear"  # linear | poly | rbf
+    kernel: Literal["linear", "poly", "rbf"] = "linear"
     degree: int = 2
     gamma: float = 0.03567
     rff_dim: int = 512
-    alpha: float = 1e-9
-    penalty: str = "l2"  # l1 | l2 | elasticnet
-    l1_ratio: float = 0.15
-    epochs: int = 20
-    eta0: float = 0.1
-    weight_negative: float = 1.0
-    weight_positive: float = 1.0
+    alpha: Annotated[float, "[0, inf]"] = 1e-9
+    penalty: Literal["l1", "l2", "elasticnet"] = "l2"
+    l1_ratio: Annotated[float, "[0, 1]"] = 0.15
+    epochs: Count = 20
+    eta0: Annotated[float, "(0, inf]"] = 0.1
+    weight_negative: Annotated[float, "(0, inf]"] = 1.0
+    weight_positive: Annotated[float, "(0, inf]"] = 1.0
     seed: int = 42
 
     def __post_init__(self):
-        if self.kernel not in ("linear", "poly", "rbf"):
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        check(self)
         if self.kernel == "poly" and self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.kernel == "rbf":
-            if not self.gamma > 0:
-                raise ValueError("gamma must be > 0")
-            if self.rff_dim < 2 or self.rff_dim % 2 != 0:
-                raise ValueError("rff_dim must be an even number >= 2")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if self.penalty not in ("l1", "l2", "elasticnet"):
-            raise ValueError(f"unknown penalty {self.penalty!r}")
-        if not 0.0 <= self.l1_ratio <= 1.0:
-            raise ValueError("l1_ratio must lie in [0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be > 0")
-        if not (self.weight_negative > 0 and self.weight_positive > 0):
-            raise ValueError("class weights must be > 0")
+        if self.kernel == "rbf" and not self.gamma > 0:
+            raise ValueError("gamma must be > 0")
+        if self.kernel == "rbf" and (self.rff_dim < 2 or self.rff_dim % 2):
+            raise ValueError("rff_dim must be an even number >= 2")
 
     def effective_l1_ratio(self) -> float:
         if self.penalty == "l1":

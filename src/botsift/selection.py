@@ -34,8 +34,11 @@ def pearson(x, y) -> float:
         raise ValueError("pearson needs at least 2 points")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise ValueError("pearson is undefined for constant input")
-    xc = x - x.mean()
-    yc = y - y.mean()
+    return _pearson_centered(x - x.mean(), y - y.mean())
+
+
+def _pearson_centered(xc, yc) -> float:
+    """pearson's product-and-norm step, on two centered columns."""
     with np.errstate(over="ignore"):
         sxx, syy = float(xc @ xc), float(yc @ yc)
     sx, sy = math.sqrt(sxx), math.sqrt(syy)
@@ -69,16 +72,17 @@ def filter_select(ds: Dataset, threshold: float = 0.1,
         raise ValueError("filter thresholds must not be NaN")
     if len(np.unique(ds.labels)) < 2:
         raise ValueError("filter_select needs both classes present")
-    matrix = correlation_matrix(ds)
-    y = ds.labels.astype(float)
-
+    # the label rides as a last column, so each column is centered once
     names = ds.feature_names
+    full = correlation_matrix(Dataset(np.column_stack([ds.rows, ds.labels]),
+                                      ds.labels, [*names, "label"]))
+    matrix = full[:-1, :-1]
     usable = ~np.isnan(np.diag(matrix))
     constant = [nm for nm, ok in zip(names, usable) if not ok]
     if constant:
         logger.warning("constant features excluded from the filter: %s",
                        ", ".join(constant))
-    label_corr = {nm: pearson(ds.rows[:, j], y)
+    label_corr = {nm: float(full[-1, j])
                   for j, nm in enumerate(names) if usable[j]}
 
     stage1 = [nm for nm in label_corr if abs(label_corr[nm]) > threshold]
@@ -100,18 +104,19 @@ def filter_select(ds: Dataset, threshold: float = 0.1,
 
 
 def correlation_matrix(ds: Dataset) -> np.ndarray:
-    """Pairwise feature correlations, one pearson call per pair; rows and
-    columns of constant features are NaN, including the diagonal."""
+    """Pairwise feature correlations, entry (a, b) for a < b bit for bit
+    pearson(column a, column b); rows and columns of constant features
+    are NaN, including the diagonal. Each column is centered once."""
     if ds.n < 2:
         raise ValueError("correlation_matrix needs at least 2 rows")
     d = len(ds.feature_names)
     out = np.full((d, d), np.nan)
-    usable = [j for j in range(d)
-              if not np.all(ds.rows[:, j] == ds.rows[0, j])]
-    for ai, a in enumerate(usable):
+    centered = [(j, x - x.mean()) for j, x in enumerate(ds.rows.T)
+                if not np.all(x == x[0])]
+    for ai, (a, xa) in enumerate(centered):
         out[a, a] = 1.0
-        for b in usable[ai + 1:]:
-            out[a, b] = out[b, a] = pearson(ds.rows[:, a], ds.rows[:, b])
+        for b, xb in centered[ai + 1:]:
+            out[a, b] = out[b, a] = _pearson_centered(xa, xb)
     return out
 
 

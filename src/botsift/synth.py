@@ -11,17 +11,17 @@ the botnet label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from datetime import datetime
+from typing import Annotated, Literal
 
 import numpy as np
 
+from .config import Count, build, check
 from .flows import _EPOCH, _ONE_US, ABSENT, FlowTable, StringColumn
 
 BASE_TIME = datetime(2011, 8, 10, 9, 0, 0)
 _BASE_US = (BASE_TIME - _EPOCH) // _ONE_US
-
-BEHAVIORS = ("port-scan", "beacon")
 
 COMMON_DPORTS = ("80", "443", "53", "25", "110", "143", "123", "22",
                  "8080", "3389")
@@ -34,41 +34,22 @@ UDP_STATES = ("CON", "INT")
 
 @dataclass
 class SynthConfig:
-    n_background_flows: int = 50_000
-    n_background_sources: int = 150
-    n_botnet_sources: int = 5
-    botnet_flow_rate: float = 0.5       # flows per minute per source
-    duration: float = 7200.0            # seconds of capture
-    botnet_behavior: str = "port-scan"
-    burst_size: int = 5                 # flows per port-scan burst
-    noise: float = 0.0                  # botnet flows that mimic background
+    n_background_flows: Count = 50_000
+    n_background_sources: Count = 150
+    n_botnet_sources: Annotated[int, "[0, inf)"] = 5
+    botnet_flow_rate: Annotated[float, "(0, inf)"] = 0.5  # flows/min/source
+    duration: Annotated[float, "[120, inf)"] = 7200.0  # seconds of capture
+    botnet_behavior: Literal["port-scan", "beacon"] = "port-scan"
+    burst_size: Count = 5                 # flows per port-scan burst
+    noise: Annotated[float, "[0, 1]"] = 0.0  # botnet flows like background
     seed: int = 42
 
-    def __post_init__(self):
-        if self.n_background_flows < 1 or self.n_background_sources < 1:
-            raise ValueError("background flow/source counts must be >= 1")
-        if self.n_botnet_sources < 0:
-            raise ValueError("n_botnet_sources must be >= 0")
-        if self.botnet_flow_rate <= 0:
-            raise ValueError("botnet_flow_rate must be > 0")
-        if self.duration < 120.0:
-            raise ValueError("duration must cover one 120 s window")
-        if self.botnet_behavior not in BEHAVIORS:
-            raise ValueError(f"unknown behavior {self.botnet_behavior!r}")
-        if self.burst_size < 1:
-            raise ValueError("burst_size must be >= 1")
-        if not 0.0 <= self.noise <= 1.0:
-            raise ValueError("noise must lie in [0, 1]")
+    __post_init__ = check
 
 
 def load_synth_config(path) -> SynthConfig:
     with open(path) as fh:
-        data = json.load(fh)
-    known = {f.name for f in dataclass_fields(SynthConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError("unknown config keys: " + ", ".join(unknown))
-    return SynthConfig(**data)
+        return build(SynthConfig, json.load(fh))
 
 
 # A flow is a tuple of its FlowTable values in field order: t_us, dur,

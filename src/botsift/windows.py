@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
+from .config import check
 from .flows import FlowTable
 
 FEATURE_NAMES = (
@@ -40,14 +41,13 @@ class WindowConfig:
     """Window width/stride in seconds; origin defaults to the earliest flow."""
 
     width: float = 120.0
-    stride: float = 60.0
+    stride: Annotated[float, "(0, inf)"] = 60.0
     origin: Optional[datetime] = None
 
     def __post_init__(self):
-        if not (0 < self.stride <= self.width and math.isfinite(self.stride)):
-            raise ValueError(
-                f"need 0 < stride <= width and a finite stride, got "
-                f"stride={self.stride} width={self.width}")
+        check(self)
+        if self.stride > self.width:
+            raise ValueError(f"stride {self.stride} > width {self.width}")
 
 
 @dataclass

@@ -9,9 +9,10 @@ import pytest
 
 from botsift.cli import coerce_value, main, parse_hp
 from botsift.flows import write_flow_csv
-from botsift.models import load_artifact
+from botsift.models import FAMILIES, load_artifact
 from botsift.synth import SynthConfig, generate_scenario
 from botsift.windows import Dataset, load_features, write_features
+from test_config import fields_taking
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +50,13 @@ def tiny_features_csv(tmp_path_factory):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def assert_one_error_naming(captured, name):
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and name in errors[0], captured.err
+    assert captured.out == ""
 
 
 class TestParsingHelpers:
@@ -214,6 +222,20 @@ class TestTrain:
                      "-o", str(tmp_path / "x.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family,name", [
+        (family, name) for family in FAMILIES
+        for name in fields_taking(FAMILIES[family].params, int)])
+    @pytest.mark.parametrize("value", ["2.5", "true"])
+    def test_int_hyperparameter_refuses_non_integers(self, tmp_path, capsys,
+                                                     family, name, value):
+        # refused before the (missing) feature file is read
+        model_path = tmp_path / "model.json"
+        assert main(["train", str(tmp_path / "missing.csv"), "--model",
+                     family, "--hp", f"{name}={value}",
+                     "-o", str(model_path)]) == 1
+        assert_one_error_naming(capsys.readouterr(), name)
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("family,hp", [
         ("logreg", []),
         ("svm", ["--hp", "kernel=linear", "--hp", "epochs=3"]),
@@ -285,6 +307,14 @@ class TestSweep:
                                             "max_iter=1 c=10 seed=42"]
         gridded = sweep("--grid", "max_iter=1", "--grid", "c=1,10")
         assert [row[1:3] for row in rows] == [row[1:3] for row in gridded]
+
+    def test_every_point_is_checked_before_the_file(self, tmp_path,
+                                                    capsys):
+        assert main(["sweep", str(tmp_path / "missing.csv"),
+                     "--grid", "n-trees=3,0"]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_naming(captured, "n_trees")
+        assert "missing.csv" not in captured.err
 
     def test_bad_grid_is_runtime_error(self, features_csv, capsys):
         assert main(["sweep", str(features_csv), "--grid", "n_trees"]) == 1
@@ -425,3 +455,15 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg_path),
                      "-o", str(tmp_path / "x.csv")]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", fields_taking(SynthConfig, int))
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_int_config_value_refuses_non_integers(self, tmp_path, capsys,
+                                                   name, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({name: value}))
+        out_path = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg_path),
+                     "-o", str(out_path)]) == 1
+        assert_one_error_naming(capsys.readouterr(), name)
+        assert not out_path.exists()

@@ -306,6 +306,48 @@ def test_correlation_matrix_values_and_nan_policy():
             assert abs(m[i, j] - expected) < 1e-12
 
 
+@st.composite
+def extreme_datasets(draw):
+    """Datasets whose columns hold small integers at scales where the
+    centered squares underflow (1e-170, 1e-300) or overflow (1e160,
+    1e300), or any finite doubles; some are constant or copies of an
+    earlier column at another scale."""
+    n = draw(st.integers(2, 9))
+    scales = st.sampled_from([1e-300, 1e-170, 1.0, 1e160, 1e300])
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["integers", "floats", "copy"]))
+        if kind == "copy" and columns:
+            source = columns[draw(st.integers(0, len(columns) - 1))]
+            columns.append(source / np.abs(source).max() * draw(scales)
+                           if source.any() else source)
+        elif kind == "floats":
+            columns.append(np.array(draw(st.lists(
+                st.floats(-1e300, 1e300), min_size=n, max_size=n))))
+        else:
+            columns.append(draw(scales) * np.array(draw(st.lists(
+                st.integers(-5, 5), min_size=n, max_size=n)), dtype=float))
+    return dataset(columns, [i % 2 for i in range(n)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(extreme_datasets())
+def test_correlation_matrix_is_pearson_per_pair_bit_for_bit(ds):
+    m = correlation_matrix(ds)
+    d = len(ds.feature_names)
+    usable = [j for j in range(d)
+              if not np.all(ds.rows[:, j] == ds.rows[0, j])]
+    for a in range(d):
+        for b in range(d):
+            if a not in usable or b not in usable:
+                assert math.isnan(m[a, b])
+            elif a == b:
+                assert m[a, b] == 1.0
+            else:
+                r = pearson(ds.rows[:, min(a, b)], ds.rows[:, max(a, b)])
+                assert repr(float(m[a, b])) == repr(r)
+
+
 def test_correlation_csv_format(tmp_path):
     ds = dataset([np.array([1.0, 2.0, 3.0]), np.full(3, 7.0)], [0, 1, 0],
                  ["a", "b"])
