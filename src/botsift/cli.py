@@ -30,9 +30,13 @@ DEFAULT_SEED = 42
 def coerce_value(text: str):
     """CLI hyperparameter values: int, float, bool, none, int tuple
     ("256,128"), else string."""
-    words = {"true": True, "false": False, "none": None}
-    if text.lower() in words:
-        return words[text.lower()]
+    low = text.lower()
+    if low == "true":
+        return True
+    if low == "false":
+        return False
+    if low == "none":
+        return None
     if "," in text:
         return tuple(coerce_value(part) for part in text.split(","))
     for cast in (int, float):
@@ -55,10 +59,12 @@ def parse_hp(pairs) -> dict:
 
 def echo_config(args: argparse.Namespace, extra: dict = None) -> None:
     print("effective config:")
-    values = {key: v for key, v in vars(args).items() if key != "func"}
-    for items in (values, extra or {}):
-        for key in sorted(items):
-            print(f"  {key} = {items[key]}")
+    values = {**vars(args)}
+    values.pop("func", None)
+    for key in sorted(values):
+        print(f"  {key} = {values[key]}")
+    for key in sorted(extra or {}):
+        print(f"  {key} = {extra[key]}")
 
 
 def resolved_params(family: str, hp_pairs, seed) -> object:
@@ -203,9 +209,11 @@ def cmd_select(args) -> int:
         raise ValueError("--corr-csv needs --method filter")
     if args.method == "importance" and args.model != "rf":
         raise ValueError("importance selection requires --model rf")
-    fits = args.method in ("backward", "importance")
-    hp = resolved_params(args.model, args.hp, args.seed) if fits else None
-    echo_config(args, {"resolved_hyperparams": hp} if fits else {})
+    extra = {}
+    if args.method in ("backward", "importance"):
+        hp = resolved_params(args.model, args.hp, args.seed)
+        extra["resolved_hyperparams"] = hp
+    echo_config(args, extra)
     ds = windows.load_features(args.features)
     name = dataset_name(ds, args.features)
     lines = []
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "NetFlow captures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_flag=True, seed=True, runs=None, report=True):
+    def add_common(p, model_flag=True, seed=True):
         if model_flag:
             p.add_argument("--model", choices=FAMILIES, default="rf")
             p.add_argument("--hp", action="append", metavar="KEY=VALUE",
@@ -271,11 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--threads", type=int, default=1,
                        help="has no effect: botsift runs on one thread")
-        if runs is not None:  # repeated split/train/test runs
-            p.add_argument("--runs", type=int, default=runs)
-            p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
-        if report:
-            p.add_argument("--out-csv", default=None)
 
     p = sub.add_parser("summarize", help="ingest a capture and print "
                                          "per-column statistics")
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model on a feature file")
     p.add_argument("features")
-    add_common(p, report=False)
+    add_common(p)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -302,15 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
                                     "from a saved model's settings")
     p.add_argument("features")
     p.add_argument("--model-file", required=True)
-    add_common(p, model_flag=False, runs=1)
+    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
+    p.add_argument("--runs", type=int, default=1)
+    add_common(p, model_flag=False)
+    p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid search with repeated "
                                      "evaluation per point")
     p.add_argument("features")
-    add_common(p, runs=3)
+    add_common(p)
     p.add_argument("--grid", action="append", required=True,
                    metavar="KEY=V1,V2,...")
+    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
+    p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("crossscen", help="train on one capture, test "
@@ -318,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     add_common(p)
+    p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_crossscen)
 
     p = sub.add_parser("bootstrap-eval", help="repeated evaluation with "
@@ -325,7 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
                                               "training data")
     p.add_argument("features")
     p.add_argument("--factor", type=int, required=True)
-    add_common(p, runs=10)
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
+    add_common(p)
+    p.add_argument("--out-csv", default=None)
     p.set_defaults(func=cmd_bootstrap_eval)
 
     p = sub.add_parser("select", help="feature-selection studies")
@@ -337,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2,
                    help="component count for --method pca")
     add_common(p)
+    p.add_argument("--out-csv", default=None)
     p.add_argument("--corr-csv", default=None,
                    help="tidy correlation matrix output (filter only)")
     p.set_defaults(func=cmd_select)
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic capture")
     p.add_argument("--config", required=True)
     p.add_argument("-o", "--out", required=True)
-    add_common(p, model_flag=False, seed=False, report=False)
+    add_common(p, model_flag=False, seed=False)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -149,17 +149,16 @@ def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
     """Evaluates every grid point with repeated_eval; a point whose
     runs fail is recorded and the sweep continues. Best = highest mean
     test f1, first grid point on ties. Errors of the arguments every
-    point shares, and of each point's params, are raised before the
-    first point."""
+    point shares are raised before the first point."""
     if not grid:
         raise ValueError("grid must be nonempty")
     require("n_runs", n_runs, Count)
     require("train_frac", train_frac, _FRACTION)
-    params = [make_params(family, dict(point)) for point in grid]
     entries = []
     best_index = None
     best_f1 = -1.0
-    for point, hp in zip(grid, params):
+    for point in grid:
+        hp = make_params(family, dict(point))
         try:
             rm = repeated_eval(ds, family, hp, n_runs, seed, train_frac)
         except Exception as exc:

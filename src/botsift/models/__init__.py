@@ -12,11 +12,11 @@ runs on one BLAS thread; scoring uses numpy's default pool.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..config import build, require
+from ..config import build
 from ..windows import Dataset
 from . import boosting, forest, logreg, nn, svm
 from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, apply_standardizer,
@@ -55,7 +55,8 @@ FAMILIES = {
 
 
 def _family(tag: str) -> Family:
-    require("model family", tag, Literal[tuple(FAMILIES)])
+    if tag not in FAMILIES:
+        raise ValueError(f"unknown model family {tag!r}")
     return FAMILIES[tag]
 
 
