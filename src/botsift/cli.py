@@ -74,8 +74,7 @@ def resolved_params(family: str, hp_pairs, seed) -> object:
 
 
 def dataset_name(ds: windows.Dataset, path: str) -> str:
-    return str(ds.meta.get("scenario")
-               or os.path.splitext(os.path.basename(path))[0])
+    return ds.scenario or os.path.splitext(os.path.basename(path))[0]
 
 
 def report(table: reports.Table, args, *lines) -> int:

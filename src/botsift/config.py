@@ -6,7 +6,8 @@
 A field's annotation is its rule. `int` takes a Python or numpy integer,
 `float` also an int, which stays an int, but neither takes a bool or NaN.
 `Literal`, `Sequence`, `Optional` and `Union` read as in `typing`, and
-`Annotated[int, "[1, inf)"]`, such as `Count`, adds a range as text.
+`Annotated[int, "[1, inf)"]`, such as `Count` or `Seed`, adds a range as
+text.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import (Annotated, Literal, Union, get_args, get_origin,
                     get_type_hints)
 
 Count = Annotated[int, "[1, inf)"]
+Seed = Annotated[int, "[0, inf)"]
 
 _KINDS = {int: (Integral, "an integer"), float: (Real, "a number"),
           str: (str, "a string"), type(None): (type(None), "None")}

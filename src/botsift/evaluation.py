@@ -8,7 +8,7 @@ from typing import Annotated, Optional, Sequence
 
 import numpy as np
 
-from .config import Count, require
+from .config import Count, Seed, require
 from .models import make_params, predict, train_model
 from .windows import Dataset
 
@@ -55,6 +55,7 @@ def split_dataset(ds: Dataset, train_frac: float, seed: int):
     """Uniform random partition; train side gets floor(train_frac * n)
     rows. Both sides keep row order and feature names."""
     require("train_frac", train_frac, _FRACTION)
+    require("seed", seed, Seed)
     n_train = int(train_frac * ds.n)
     if n_train == 0 or n_train == ds.n:
         raise ValueError(
@@ -90,13 +91,14 @@ class RepeatedMetrics:
 
 
 def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
-                  train_frac: float = 2.0 / 3.0,
-                  bootstrap_factor: Optional[int] = None):
+                  train_frac: float = 2.0 / 3.0, bootstrap_factor: int = 1):
     """One split/train/evaluate pass; returns (train Metrics,
     test Metrics, artifact). Training metrics describe the data the
-    model was actually fit to (the resampled set when bootstrapping)."""
+    model was actually fit to (the resampled set when bootstrapping);
+    factor 1 fits the split's training rows as they are."""
+    require("bootstrap_factor", bootstrap_factor, Count)
     train, test = split_dataset(ds, train_frac, split_seed)
-    if bootstrap_factor not in (None, 1):
+    if bootstrap_factor != 1:
         train = bootstrap_resample(train, bootstrap_factor, split_seed)
     artifact = train_model(family, train, hp)
     _, train_pred = predict(artifact, train.rows)
@@ -107,11 +109,12 @@ def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
 
 def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,
                   train_frac: float = 2.0 / 3.0,
-                  bootstrap_factor: Optional[int] = None) -> RepeatedMetrics:
+                  bootstrap_factor: int = 1) -> RepeatedMetrics:
     """n_runs independent split/train/test passes; run i uses split
     seed = seed + i."""
     require("n_runs", n_runs, Count)
-    require("bootstrap_factor", bootstrap_factor, Optional[Count])
+    require("seed", seed, Seed)
+    require("bootstrap_factor", bootstrap_factor, Count)
     result = RepeatedMetrics()
     for i in range(n_runs):
         try:
@@ -153,6 +156,7 @@ def hyperparam_sweep(ds: Dataset, family: str, grid: Sequence[dict],
     if not grid:
         raise ValueError("grid must be nonempty")
     require("n_runs", n_runs, Count)
+    require("seed", seed, Seed)
     require("train_frac", train_frac, _FRACTION)
     entries = []
     best_index = None

@@ -14,7 +14,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from ..config import Count, check
+from ..config import Count, Seed, check
 from . import trees
 from .base import ModelArtifact, sigmoid, softplus
 
@@ -25,7 +25,7 @@ class BoostingParams:
     n_trees: Count = 100
     max_depth: Count = 4
     learning_rate: Annotated[float, "(0, inf]"] = 0.1
-    seed: int = 42
+    seed: Seed = 42
 
     __post_init__ = check
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import Count, check
+from ..config import Count, Seed, check
 from . import trees
 from .base import ModelArtifact
 
@@ -26,7 +26,7 @@ from .base import ModelArtifact
 class ForestParams:
     n_trees: Count = 100
     max_depth: Optional[Count] = None  # None: unbounded
-    seed: int = 42
+    seed: Seed = 42
 
     __post_init__ = check
 

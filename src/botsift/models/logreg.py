@@ -18,7 +18,7 @@ from typing import Annotated
 
 import numpy as np
 
-from ..config import check
+from ..config import Seed, check
 from .base import ModelArtifact, sigmoid, softplus
 
 logger = logging.getLogger(__name__)
@@ -31,7 +31,7 @@ class LogRegParams:
     weight_positive: Annotated[float, "(0, inf]"] = 1.0
     max_iter: Annotated[int, "[0, inf)"] = 500  # Newton steps
     tol: Annotated[float, "[0, inf]"] = 1e-6    # bound on |gradient|
-    seed: int = 42
+    seed: Seed = 42
 
     __post_init__ = check
 

@@ -15,7 +15,7 @@ from typing import Annotated, Sequence, Union
 
 import numpy as np
 
-from ..config import Count, check
+from ..config import Count, Seed, check
 from .base import ModelArtifact, jsonable, sigmoid, softplus
 
 
@@ -28,7 +28,7 @@ class NnParams:
     batch_size: Count = 32
     bn_momentum: Annotated[float, "[0, 1]"] = 0.1
     bn_eps: Annotated[float, "(0, inf]"] = 1e-5
-    seed: int = 42
+    seed: Seed = 42
 
     def __post_init__(self):
         check(self)

@@ -18,7 +18,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from ..config import Count, check
+from ..config import Count, Seed, check
 from .base import ModelArtifact, sigmoid
 
 
@@ -35,7 +35,7 @@ class SvmParams:
     eta0: Annotated[float, "(0, inf]"] = 0.1
     weight_negative: Annotated[float, "(0, inf]"] = 1.0
     weight_positive: Annotated[float, "(0, inf]"] = 1.0
-    seed: int = 42
+    seed: Seed = 42
 
     def __post_init__(self):
         check(self)

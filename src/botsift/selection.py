@@ -74,8 +74,7 @@ def filter_select(ds: Dataset, threshold: float = 0.1,
         raise ValueError("filter_select needs both classes present")
     # the label rides as a last column, so each column is centered once
     names = ds.feature_names
-    full = correlation_matrix(Dataset(np.column_stack([ds.rows, ds.labels]),
-                                      ds.labels, [*names, "label"]))
+    full = correlation_matrix(np.column_stack([ds.rows, ds.labels]))
     matrix = full[:-1, :-1]
     usable = ~np.isnan(np.diag(matrix))
     constant = [nm for nm, ok in zip(names, usable) if not ok]
@@ -103,15 +102,15 @@ def filter_select(ds: Dataset, threshold: float = 0.1,
                         constant, stage1, dropped, selected, matrix)
 
 
-def correlation_matrix(ds: Dataset) -> np.ndarray:
-    """Pairwise feature correlations, entry (a, b) for a < b bit for bit
-    pearson(column a, column b); rows and columns of constant features
-    are NaN, including the diagonal. Each column is centered once."""
-    if ds.n < 2:
+def correlation_matrix(rows: np.ndarray) -> np.ndarray:
+    """Pairwise column correlations, entry (a, b) for a < b bit for bit
+    pearson(column a, column b); rows and columns of constant columns are
+    NaN, including the diagonal. Each column is centered once."""
+    if len(rows) < 2:
         raise ValueError("correlation_matrix needs at least 2 rows")
-    d = len(ds.feature_names)
+    d = rows.shape[1]
     out = np.full((d, d), np.nan)
-    centered = [(j, x - x.mean()) for j, x in enumerate(ds.rows.T)
+    centered = [(j, x - x.mean()) for j, x in enumerate(rows.T)
                 if not np.all(x == x[0])]
     for ai, (a, xa) in enumerate(centered):
         out[a, a] = 1.0

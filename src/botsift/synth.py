@@ -17,7 +17,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .config import Count, build, check
+from .config import Count, Seed, build, check
 from .flows import _EPOCH, _ONE_US, ABSENT, FlowTable, StringColumn
 
 BASE_TIME = datetime(2011, 8, 10, 9, 0, 0)
@@ -42,7 +42,7 @@ class SynthConfig:
     botnet_behavior: Literal["port-scan", "beacon"] = "port-scan"
     burst_size: Count = 5                 # flows per port-scan burst
     noise: Annotated[float, "[0, 1]"] = 0.0  # botnet flows like background
-    seed: int = 42
+    seed: Seed = 42
 
     __post_init__ = check
 

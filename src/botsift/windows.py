@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, replace
 from datetime import datetime
 from pathlib import Path
 from typing import Annotated, Iterable, Optional
@@ -35,6 +35,9 @@ FEATURE_NAMES = (
 
 BOTNET_MARKER = "Botnet"
 
+# a feature row's (window index, source address)
+KEY = np.dtype([("window", np.int64), ("source", object)])
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -52,18 +55,21 @@ class WindowConfig:
 
 @dataclass
 class Dataset:
-    """Feature matrix with labels, feature names, and provenance metadata."""
+    """Feature rows, labels and names; optional scenario name and KEYs."""
 
     rows: np.ndarray
     labels: np.ndarray
     feature_names: list
-    meta: dict = field(default_factory=dict)
+    _: KW_ONLY
+    scenario: Optional[str] = None
+    keys: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
-        if self.rows.shape[0] != self.labels.shape[0]:
-            raise ValueError("rows and labels must have equal length")
+        if self.rows.shape[0] != len(self.labels) or (
+                self.keys is not None and len(self.keys) != len(self.labels)):
+            raise ValueError("rows, labels and keys must have equal length")
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.feature_names):
             raise ValueError("row width must match feature_names")
 
@@ -72,19 +78,16 @@ class Dataset:
         return self.rows.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=int)
-        meta = dict(self.meta)
-        if "row_keys" in meta:
-            meta["row_keys"] = [meta["row_keys"][i] for i in indices]
-        return Dataset(self.rows[indices], self.labels[indices],
-                       list(self.feature_names), meta)
+        idx = np.asarray(indices, dtype=int)
+        return replace(self, rows=self.rows[idx], labels=self.labels[idx],
+                       keys=None if self.keys is None else self.keys[idx])
 
     def select_features(self, names) -> "Dataset":
         idx = [self.feature_names.index(name) for name in names]
         # take() keeps the result C-ordered for any input layout, so
         # float reductions over it do not depend on how it was sliced
-        return Dataset(self.rows.take(idx, axis=1), self.labels, list(names),
-                       dict(self.meta))
+        return replace(self, rows=self.rows.take(idx, axis=1),
+                       feature_names=list(names))
 
 
 def window_spans(t: np.ndarray, cfg: WindowConfig) -> tuple:
@@ -216,24 +219,23 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
                 rows[bucket, col + j] = reduce(block, axis=1)
     del flow, starts, by_size, buckets
 
-    windows, sources = np.divmod(key, len(src_names))
-    meta = {
-        "scenario": scenario or table.source_path,
-        "window": {"width": cfg.width, "stride": cfg.stride,
-                   "origin": origin.isoformat()},
-        "row_keys": list(zip(windows.tolist(),
-                             map(src_names.__getitem__, sources.tolist()))),
-    }
-    return Dataset(rows, labels, list(FEATURE_NAMES), meta)
+    keys = np.empty(len(key), KEY)
+    keys["window"], sources = np.divmod(key, len(src_names))
+    keys["source"] = np.array(src_names, object)[sources]
+    return Dataset(rows, labels, list(FEATURE_NAMES),
+                   scenario=scenario or table.source_path, keys=keys)
 
 
 def write_features(ds: Dataset, path):
     """Feature CSV: window_index,src_addr,label,<feature columns>,
     preceded by a '# scenario=' comment when the dataset is named."""
-    keys = ds.meta.get("row_keys") or [(i, "?") for i in range(ds.n)]
+    if ds.scenario and ("\n" in ds.scenario or "\r" in ds.scenario):
+        raise ValueError(f"scenario {ds.scenario!r} holds a line break")
+    keys = (ds.keys.tolist() if ds.keys is not None
+            else [(i, "?") for i in range(ds.n)])
     with Path(path).open("w", newline="") as handle:
-        if ds.meta.get("scenario"):
-            handle.write(f"# scenario={ds.meta['scenario']}\n")
+        if ds.scenario:
+            handle.write(f"# scenario={ds.scenario}\n")
         writer = csv.writer(handle)
         writer.writerow(["window_index", "src_addr", "label",
                          *ds.feature_names])
@@ -245,9 +247,9 @@ def write_features(ds: Dataset, path):
 
 def load_features(path) -> Dataset:
     """Read a feature CSV written by write_features. A row whose cell
-    count differs from the header's, whose label is not 0 or 1, or whose
-    features are not all finite numbers, is a ValueError naming its
-    line."""
+    count differs from the header's, whose window index is not an int64,
+    whose label is not 0 or 1, or whose features are not all finite
+    numbers, is a ValueError naming its line."""
     path = Path(path)
     scenario = None
     header_lines = 1
@@ -272,6 +274,8 @@ def load_features(path) -> Dataset:
                     raise ValueError(f"{len(row)} cells, the header has "
                                      f"{len(header)}")
                 keys.append((int(row[0]), row[1]))
+                if not -2**63 <= keys[-1][0] < 2**63:
+                    raise ValueError(f"window index {row[0]} is not an int64")
                 labels.append(int(row[2]))
                 if labels[-1] not in (0, 1):
                     raise ValueError(f"label {row[2]} is not 0 or 1")
@@ -285,5 +289,5 @@ def load_features(path) -> Dataset:
     if not finite.all():
         bad = lines[int(np.argmin(finite))]
         raise ValueError(f"{path} line {bad}: non-finite feature value")
-    meta = {"scenario": scenario, "row_keys": keys}
-    return Dataset(rows, np.array(labels), names, meta)
+    return Dataset(rows, np.array(labels), names, scenario=scenario,
+                   keys=np.array(keys, KEY))

@@ -304,14 +304,14 @@ def test_criterion_08_bootstrap_direction():
     ds = build_dataset(generate_scenario(cfg), WindowConfig())
 
     summaries = {}
-    for factor in (None, 10, 30):
+    for factor in (1, 10, 30):
         rm = repeated_eval(ds, "rf", ForestParams(n_trees=100), n_runs=10,
                            seed=300, bootstrap_factor=factor)
         summaries[factor] = rm.summary("test")
-    base_r = summaries[None]["recall"][0]
+    base_r = summaries[1]["recall"][0]
     x10_r = summaries[10]["recall"][0]
     x30_r = summaries[30]["recall"][0]
-    base_f1 = summaries[None]["f1"][0]
+    base_f1 = summaries[1]["f1"][0]
     x10_f1 = summaries[10]["f1"][0]
 
     assert 0.3 <= base_r <= 0.6

@@ -52,6 +52,13 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def assert_seed_refused(captured, value):
+    errors = [line for line in captured.err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: seed must be an integer in [0, inf), "
+                      f"got {value}"], captured.err
+
+
 def assert_one_error_naming(captured, name):
     errors = [line for line in captured.err.splitlines()
               if line.startswith("error:")]
@@ -195,6 +202,15 @@ class TestExtract:
     def test_scenario_comment(self, features_csv):
         first = open(features_csv).readline()
         assert first == "# scenario=demo\n"
+
+    @pytest.mark.parametrize("scenario", ["two\nlines", "two\rlines"])
+    def test_scenario_with_a_line_break_is_refused(self, flows_csv, tmp_path,
+                                                   capsys, scenario):
+        out_path = tmp_path / "feat.csv"
+        assert main(["extract", str(flows_csv), "--scenario", scenario,
+                     "-o", str(out_path)]) == 1
+        assert "holds a line break" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestTrain:
@@ -449,6 +465,15 @@ class TestSynth:
         assert "generated " in out and "botnet" in out
         assert main(["summarize", str(out_path)]) == 0
 
+    def test_negative_seed_is_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        out_path = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg_path),
+                     "-o", str(out_path)]) == 1
+        assert_seed_refused(capsys.readouterr(), -1)
+        assert not out_path.exists()
+
     def test_bad_config_key_is_runtime_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"bots": 2}))
@@ -467,3 +492,24 @@ class TestSynth:
                      "-o", str(out_path)]) == 1
         assert_one_error_naming(capsys.readouterr(), name)
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "FEATURES", "-o", "OUT"],
+    ["eval", "FEATURES", "--model-file", "MODEL", "--out-csv", "OUT"],
+    ["crossscen", "--train", "FEATURES", "--test", "FEATURES",
+     "--out-csv", "OUT"],
+    ["bootstrap-eval", "FEATURES", "--factor", "2", "--out-csv", "OUT"],
+    ["sweep", "FEATURES", "--grid", "n-trees=2", "--out-csv", "OUT"],
+    ["select", "FEATURES", "--method", "backward", "--out-csv", "OUT"],
+], ids=lambda argv: argv[0])
+def test_negative_seed_is_refused(tiny_features_csv, tmp_path, capsys, argv):
+    paths = {"FEATURES": tiny_features_csv, "MODEL": tmp_path / "lr.json",
+             "OUT": tmp_path / "out"}
+    assert main(["train", str(tiny_features_csv), "--model", "logreg",
+                 "-o", str(paths["MODEL"])]) == 0
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv]
+                + ["--seed", "-3"]) == 1
+    assert_seed_refused(capsys.readouterr(), -3)
+    assert not paths["OUT"].exists()

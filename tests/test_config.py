@@ -41,6 +41,15 @@ def test_an_int_field_takes_integers_only(cls, name, value):
         cls(**{name: value})
 
 
+@pytest.mark.parametrize("cls", [cls for cls in RECORDS
+                                 if "seed" in fields_taking(cls, int)])
+def test_a_seed_is_not_negative(cls):
+    assert cls(seed=0).seed == 0
+    with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                         r"\[0, inf\), got -1"):
+        cls(seed=-1)
+
+
 @pytest.mark.parametrize("name", ["duration", "botnet_flow_rate"])
 def test_synth_rates_and_durations_are_finite(name):
     with pytest.raises(ValueError, match=name):

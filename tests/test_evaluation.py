@@ -10,7 +10,7 @@ from botsift.evaluation import (Metrics, bootstrap_resample,
                                 hyperparam_sweep, prf1, repeated_eval,
                                 split_dataset)
 from botsift.models import ForestParams, LogRegParams, make_params
-from botsift.windows import Dataset
+from botsift.windows import KEY, Dataset
 
 NAN = float("nan")
 
@@ -78,7 +78,7 @@ def toy_dataset(n=300, seed=0, d=3):
     X = rng.normal(size=(n, d))
     y = (X[:, 0] > 0).astype(int)
     return Dataset(X, y, [f"f{i}" for i in range(d)],
-                   {"row_keys": [(i, "s") for i in range(n)]})
+                   keys=np.array([(i, "s") for i in range(n)], KEY))
 
 
 class TestSplit:
@@ -94,8 +94,8 @@ class TestSplit:
         np.testing.assert_array_equal(a_train.rows, b_train.rows)
         np.testing.assert_array_equal(a_test.rows, b_test.rows)
         # the two sides together hold exactly the original rows
-        keys = sorted(a_train.meta["row_keys"] + a_test.meta["row_keys"])
-        assert keys == ds.meta["row_keys"]
+        keys = sorted(a_train.keys.tolist() + a_test.keys.tolist())
+        assert keys == ds.keys.tolist()
         assert set(map(tuple, a_train.rows)).isdisjoint(
             set(map(tuple, a_test.rows)))
 
@@ -113,6 +113,11 @@ class TestSplit:
         tiny = toy_dataset(3)
         with pytest.raises(ValueError):
             split_dataset(tiny, 0.1, seed=0)  # floor gives an empty side
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                             r"\[0, inf\), got -1"):
+            split_dataset(toy_dataset(10), 0.5, seed=-1)
 
 
 class TestBootstrap:
@@ -147,6 +152,14 @@ class TestBootstrap:
             bootstrap_factor=5)
         assert train_m.n == 5 * 100  # floor(2/3 * 150) = 100, then x5
         assert test_m.n == 50
+
+    def test_evaluate_once_factor_one_trains_on_the_split(self):
+        ds = toy_dataset(150, seed=10)
+        hp = ForestParams(n_trees=5, seed=1)
+        plain = evaluate_once(ds, "rf", hp, split_seed=4)
+        once = evaluate_once(ds, "rf", hp, split_seed=4, bootstrap_factor=1)
+        assert plain[0] == once[0] and once[0].n == 100
+        assert plain[2].to_json() == once[2].to_json()
 
 
 class TestRepeatedEval:
@@ -190,7 +203,7 @@ class TestRepeatedEval:
             repeated_eval(ds, "rf", ForestParams(n_trees=1), n_runs=0,
                           seed=0)
 
-    @pytest.mark.parametrize("factor", [0, -3, 2.5])
+    @pytest.mark.parametrize("factor", [0, -3, 2.5, None])
     def test_bootstrap_factor_validation(self, factor):
         ds = toy_dataset(60)
         with pytest.raises(ValueError, match="factor"):

@@ -292,7 +292,7 @@ def test_filter_matches_pair_by_pair_oracle(case):
 def test_correlation_matrix_values_and_nan_policy():
     x = np.array([1.0, 2.0, 4.0, 8.0])
     ds = dataset([x, 2 * x + 1, -x, np.full(4, 5.0)], [0, 1, 0, 1])
-    m = correlation_matrix(ds)
+    m = correlation_matrix(ds.rows)
     assert m.shape == (4, 4)
     np.testing.assert_allclose(np.diag(m)[:3], 1.0, atol=1e-12)
     assert abs(m[0, 1] - 1.0) < 1e-12
@@ -333,7 +333,7 @@ def extreme_datasets(draw):
 @settings(deadline=None, max_examples=300)
 @given(extreme_datasets())
 def test_correlation_matrix_is_pearson_per_pair_bit_for_bit(ds):
-    m = correlation_matrix(ds)
+    m = correlation_matrix(ds.rows)
     d = len(ds.feature_names)
     usable = [j for j in range(d)
               if not np.all(ds.rows[:, j] == ds.rows[0, j])]
@@ -352,7 +352,7 @@ def test_correlation_csv_format(tmp_path):
     ds = dataset([np.array([1.0, 2.0, 3.0]), np.full(3, 7.0)], [0, 1, 0],
                  ["a", "b"])
     path = tmp_path / "corr.csv"
-    write_correlation_csv(correlation_matrix(ds), ds.feature_names, path)
+    write_correlation_csv(correlation_matrix(ds.rows), ds.feature_names, path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["row", "col", "value"]

@@ -16,7 +16,7 @@ import window_oracle
 from flow_oracle import FlowRecord
 from botsift.cli import main
 from botsift.flows import ABSENT, ParseStats
-from botsift.windows import (FEATURE_NAMES, Dataset, WindowConfig,
+from botsift.windows import (FEATURE_NAMES, KEY, Dataset, WindowConfig,
                              build_dataset, load_features,
                              normalized_entropy, resolve_origin,
                              window_spans, write_features)
@@ -55,7 +55,7 @@ def spans_per_flow(t, cfg) -> list:
 def one_window_row(members) -> dict:
     """Features of a one-source table whose flows all fall in window 0."""
     ds = build_dataset(table(members), DEFAULTS)
-    assert ds.meta["row_keys"] == [(0, members[0].src_addr)]
+    assert ds.keys.tolist() == [(0, members[0].src_addr)]
     return dict(zip(FEATURE_NAMES, ds.rows[0]))
 
 
@@ -113,8 +113,8 @@ def test_resolve_origin_earliest_start():
 def test_assign_windows_membership():
     t = table([flow(offset=0.0), flow(offset=150.0)])
     ds = build_dataset(t, DEFAULTS)
-    assert ds.meta["row_keys"] == [(0, "10.0.0.1"), (1, "10.0.0.1"),
-                                   (2, "10.0.0.1")]
+    assert ds.keys.tolist() == [(0, "10.0.0.1"), (1, "10.0.0.1"),
+                                (2, "10.0.0.1")]
     counts = ds.rows[:, FEATURE_NAMES.index("counts")]
     np.testing.assert_array_equal(counts, [1.0, 1.0, 1.0])
 
@@ -231,7 +231,7 @@ def test_build_dataset_rows_and_order():
              label="flow=From-Botnet-V42"),
     ]
     ds = build_dataset(table(records), DEFAULTS)
-    keys = ds.meta["row_keys"]
+    keys = ds.keys.tolist()
     # offset 0 and 30 fall in window 0; 90 in windows 0 and 1
     assert keys == [(0, "10.0.0.1"), (0, "10.0.0.2"), (1, "10.0.0.1")]
     assert ds.labels.tolist() == [1, 0, 1]
@@ -270,8 +270,7 @@ def test_build_dataset_origin_after_every_flow_is_empty():
     ds = build_dataset(table(records), cfg)
     assert ds.rows.shape == (0, len(FEATURE_NAMES))
     assert ds.labels.shape == (0,)
-    assert ds.meta["row_keys"] == []
-    assert ds.meta["window"]["origin"] == cfg.origin.isoformat()
+    assert ds.keys.tolist() == []
 
 
 PORTS = (None, ABSENT, "53", "80", "443", "1024", "6667")
@@ -324,7 +323,8 @@ def test_build_dataset_matches_per_group_oracle(case):
     expected = window_oracle.build_dataset(t, cfg, scenario="s")
     assert ds.rows.tobytes() == expected.rows.tobytes()
     assert ds.labels.tolist() == expected.labels.tolist()
-    assert ds.meta == expected.meta
+    assert ds.scenario == expected.scenario
+    assert ds.keys.tolist() == expected.keys.tolist()
 
 
 # `botsift synth` settings of the capture behind the golden feature files
@@ -350,16 +350,28 @@ def test_extract_reproduces_golden_feature_files(tmp_path, stride):
 
 def test_dataset_validation_and_subset():
     ds = Dataset(np.zeros((3, 22)), np.array([0, 1, 0]),
-                 list(FEATURE_NAMES), {"row_keys": [(0, "a"), (0, "b"),
-                                                    (1, "a")]})
+                 list(FEATURE_NAMES),
+                 keys=np.array([(0, "a"), (0, "b"), (1, "a")], KEY))
     sub = ds.subset([2, 0])
     assert sub.n == 2
     assert sub.labels.tolist() == [0, 0]
-    assert sub.meta["row_keys"] == [(1, "a"), (0, "a")]
+    assert sub.keys.tolist() == [(1, "a"), (0, "a")]
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 21)), np.array([0, 1, 0]), list(FEATURE_NAMES))
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 22)), np.array([0, 1, 0]), list(FEATURE_NAMES))
+    with pytest.raises(ValueError, match="equal length"):
+        Dataset(np.zeros((2, 22)), np.array([0, 1]), list(FEATURE_NAMES),
+                keys=np.array([(0, "a")], KEY))
+
+
+def test_dataset_scenario_and_keys_are_keyword_only():
+    with pytest.raises(TypeError):
+        Dataset(np.zeros((1, 1)), [0], ["a"], "s")
+    ds = Dataset(np.zeros((1, 1)), [0], ["a"], scenario="s",
+                 keys=np.array([(3, "b")], KEY))
+    assert ds.select_features(["a"]).scenario == "s"
+    assert ds.subset([0, 0]).scenario == "s"
 
 
 def test_dataset_select_features():
@@ -383,21 +395,21 @@ def test_feature_csv_round_trip(tmp_path):
     assert first == "# scenario=synth-a"
 
     loaded = load_features(path)
-    assert loaded.meta["scenario"] == "synth-a"
+    assert loaded.scenario == "synth-a"
     assert loaded.feature_names == list(FEATURE_NAMES)
     assert loaded.labels.tolist() == ds.labels.tolist()
     assert np.max(np.abs(loaded.rows - ds.rows)) < 1e-9
-    assert loaded.meta["row_keys"] == [(k, s) for k, s in ds.meta["row_keys"]]
+    assert loaded.keys.tolist() == ds.keys.tolist()
 
 
 def test_feature_csv_without_scenario_comment(tmp_path):
     ds = build_dataset(table([flow()]), DEFAULTS)
-    ds.meta["scenario"] = None
+    ds.scenario = None
     path = tmp_path / "plain.csv"
     write_features(ds, path)
     assert path.read_text().startswith("window_index,")
     loaded = load_features(path)
-    assert loaded.meta["scenario"] is None
+    assert loaded.scenario is None
     assert loaded.n == 1
 
 
@@ -415,7 +427,7 @@ def test_load_features_rejects_non_finite_values(tmp_path):
 
 def test_load_features_rejects_ragged_rows(tmp_path):
     ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS)
-    ds.meta["scenario"] = None
+    ds.scenario = None
     path = tmp_path / "features.csv"
     write_features(ds, path)
     lines = path.read_text().splitlines()
@@ -438,3 +450,65 @@ def test_load_features_rejects_labels_outside_0_1(tmp_path, label):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=rf"line 4: label {label} "):
         load_features(path)
+
+
+@pytest.mark.parametrize("window", ["9223372036854775808",
+                                    "-9223372036854775809", "1.5"])
+def test_load_features_rejects_window_indices_that_are_not_int64(tmp_path,
+                                                                 window):
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS,
+                       scenario="s")
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text().splitlines()
+    lines[3] = "9223372036854775807" + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    assert load_features(path).keys["window"][1] == 2**63 - 1
+    lines[3] = window + lines[3][lines[3].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"line 4: "):
+        load_features(path)
+
+
+ONE_LINE = st.characters(exclude_characters="\r\n")
+SOURCES = st.one_of(st.sampled_from(["?", "a,b", '"q"', "x\"y,z", "",
+                                     "10.0.0.1", "ñ→ü"]),
+                    st.text(ONE_LINE, max_size=8))
+
+
+@st.composite
+def keyed_datasets(draw):
+    """Small datasets whose sources hold commas, quotes, non-ASCII text
+    and '?', whose windows span int64, and whose scenario and keys may
+    each be None."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=n * d, max_size=n * d))
+    keys = draw(st.none() | st.lists(
+        st.tuples(st.integers(-2**63, 2**63 - 1), SOURCES),
+        min_size=n, max_size=n))
+    return Dataset(np.reshape(rows, (n, d)),
+                   draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                   [f"f{j}" for j in range(d)],
+                   scenario=draw(st.none() | st.text(ONE_LINE, max_size=10)),
+                   keys=None if keys is None else np.array(keys, KEY))
+
+
+@settings(deadline=None, max_examples=150)
+@given(keyed_datasets(), st.data())
+def test_feature_file_round_trip_and_subset_lines(tmp_path_factory, ds,
+                                                  data):
+    path = tmp_path_factory.mktemp("typed") / "features.csv"
+    write_features(ds, path)
+    written = path.read_bytes()
+    write_features(load_features(path), path)
+    assert path.read_bytes() == written
+
+    if ds.keys is not None:
+        idx = data.draw(st.lists(st.integers(0, ds.n - 1), max_size=2 * ds.n))
+        write_features(ds.subset(idx), path)
+        lines = written.splitlines(keepends=True)
+        head = len(lines) - ds.n
+        assert path.read_bytes().splitlines(keepends=True) == (
+            lines[:head] + [lines[head + i] for i in idx])

@@ -15,7 +15,7 @@ import numpy as np
 
 import flow_oracle
 from botsift.flows import ABSENT
-from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, Dataset,
+from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, KEY, Dataset,
                              normalized_entropy, resolve_origin)
 
 
@@ -65,10 +65,6 @@ def build_dataset(table, cfg, scenario=None) -> Dataset:
     for i, key in enumerate(keys):
         rows[i] = extract_features(groups[key])
         labels[i] = label_group(groups[key])
-    meta = {
-        "scenario": scenario or table.source_path,
-        "window": {"width": cfg.width, "stride": cfg.stride,
-                   "origin": origin.isoformat()},
-        "row_keys": keys,
-    }
-    return Dataset(rows, labels, list(FEATURE_NAMES), meta)
+    return Dataset(rows, labels, list(FEATURE_NAMES),
+                   scenario=scenario or table.source_path,
+                   keys=np.array(keys, KEY))
