@@ -14,6 +14,7 @@ one BLAS thread; scoring uses numpy's default BLAS thread pool.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -364,6 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # UTF-8, as files are
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

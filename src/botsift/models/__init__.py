@@ -20,19 +20,18 @@ from ..config import build
 from ..windows import Dataset
 from . import boosting, forest, logreg, nn, svm
 from .base import (ARTIFACT_FORMAT_VERSION, ModelArtifact, apply_standardizer,
-                   fit_standardizer, load_artifact, sigmoid)
+                   fit_standardizer, load_artifact)
 from .blas import one_thread
 from .boosting import BoostingParams
 from .forest import ForestParams
 from .logreg import LogRegParams
-from .nn import NnParams, parameter_counts
+from .nn import NnParams
 from .svm import SvmParams
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION", "ModelArtifact", "load_artifact",
     "BoostingParams", "ForestParams", "LogRegParams", "NnParams",
     "SvmParams", "FAMILIES", "train_model", "predict",
-    "parameter_counts", "sigmoid",
 ]
 
 

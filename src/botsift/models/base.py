@@ -42,11 +42,11 @@ class ModelArtifact:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     def save(self, path):
-        Path(path).write_text(self.to_json())
+        Path(path).write_text(self.to_json(), encoding="utf-8")
 
 
 def load_artifact(path) -> ModelArtifact:
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version")
     if version == 1 and doc["family"] in ("rf", "gboost"):
         # version 1 stored each tree as nested dicts

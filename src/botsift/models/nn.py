@@ -39,20 +39,6 @@ class NnParams:
             raise ValueError("hidden needs at least one width")
 
 
-def parameter_counts(n_features: int, hidden: Sequence[int]):
-    """(trainable, non_trainable) parameter totals for the architecture."""
-    trainable = 0
-    non_trainable = 0
-    fan_in = n_features
-    for width in hidden:
-        trainable += fan_in * width + width      # dense W, b
-        trainable += 2 * width                   # gamma, beta
-        non_trainable += 2 * width               # running mean, var
-        fan_in = width
-    trainable += fan_in + 1                      # output dense
-    return trainable, non_trainable
-
-
 def init_network(n_features: int, hidden: Sequence[int],
                  seed: int) -> dict:
     """He-initialized blocks; the output layer starts at zero so the
@@ -75,6 +61,21 @@ def init_network(n_features: int, hidden: Sequence[int],
         "running_mean": [np.zeros(w) for w in hidden],
         "running_var": [np.ones(w) for w in hidden],
     }
+
+
+def _trainable(net: dict) -> list:
+    """The trainable arrays of a network, or of its gradients, in one
+    fixed order: each block's W, b, gamma, beta, then out_W, out_b."""
+    return [*(block[key] for block in net["blocks"]
+              for key in ("W", "b", "gamma", "beta")),
+            net["out_W"], net["out_b"]]
+
+
+def parameter_counts(n_features: int, hidden: Sequence[int]):
+    """(trainable, non_trainable) sizes of `init_network`'s arrays."""
+    net = init_network(n_features, hidden, seed=0)
+    return (sum(a.size for a in _trainable(net)),
+            sum(a.size for a in net["running_mean"] + net["running_var"]))
 
 
 def forward_logits(net: dict, X: np.ndarray, eps: float,
@@ -154,33 +155,13 @@ def forward_backward(net: dict, X: np.ndarray, y: np.ndarray,
     return loss, grads, batch_stats
 
 
-def _sgd_step(net: dict, grads: dict, velocity: dict, lr: float,
-              momentum: float):
-    for li, block in enumerate(net["blocks"]):
-        for key in ("W", "b", "gamma", "beta"):
-            v = velocity["blocks"][li][key]
-            v *= momentum
-            v -= lr * grads["blocks"][li][key]
-            block[key] += v
-    for key in ("out_W", "out_b"):
-        v = velocity[key]
-        v *= momentum
-        v -= lr * grads[key]
-        net[key] += v
-
-
 def fit(X: np.ndarray, labels: np.ndarray, hp: NnParams):
     y = labels.astype(float)
     n = X.shape[0]
 
     net = init_network(X.shape[1], hp.hidden, hp.seed)
-    velocity = {
-        "blocks": [{k: np.zeros_like(b[k])
-                    for k in ("W", "b", "gamma", "beta")}
-                   for b in net["blocks"]],
-        "out_W": np.zeros_like(net["out_W"]),
-        "out_b": np.zeros_like(net["out_b"]),
-    }
+    params = _trainable(net)
+    velocity = [np.zeros_like(p) for p in params]
 
     rng = np.random.default_rng(hp.seed)
     epoch_losses = []
@@ -202,7 +183,10 @@ def fit(X: np.ndarray, labels: np.ndarray, hp: NnParams):
                 net["running_var"][li] = (
                     (1.0 - hp.bn_momentum) * net["running_var"][li]
                     + hp.bn_momentum * var)
-            _sgd_step(net, grads, velocity, hp.learning_rate, hp.momentum)
+            for p, v, g in zip(params, velocity, _trainable(grads)):
+                v *= hp.momentum
+                v -= hp.learning_rate * g
+                p += v
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
 
@@ -212,20 +196,13 @@ def fit(X: np.ndarray, labels: np.ndarray, hp: NnParams):
                            "non_trainable_parameters": non_trainable}
 
 
-def _net_from_artifact(artifact: ModelArtifact) -> dict:
-    p = artifact.parameters
-    return {
-        "blocks": [{k: np.asarray(b[k]) for k in
-                    ("W", "b", "gamma", "beta")} for b in p["blocks"]],
-        "out_W": np.asarray(p["out_W"]),
-        "out_b": np.asarray(p["out_b"]),
-        "running_mean": [np.asarray(m) for m in p["running_mean"]],
-        "running_var": [np.asarray(v) for v in p["running_var"]],
-    }
-
-
 def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
-    net = _net_from_artifact(artifact)
+    p = artifact.parameters
+    net = {"blocks": [{k: np.asarray(a) for k, a in b.items()}
+                      for b in p["blocks"]],
+           "out_W": np.asarray(p["out_W"]), "out_b": np.asarray(p["out_b"]),
+           "running_mean": [np.asarray(m) for m in p["running_mean"]],
+           "running_var": [np.asarray(v) for v in p["running_var"]]}
     logits, _, _ = forward_logits(net, X, artifact.hyperparams["bn_eps"],
                                   False)
     return sigmoid(logits)

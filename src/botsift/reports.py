@@ -48,7 +48,7 @@ class Table:
         return buf.getvalue()
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(self.to_csv())
 
 

@@ -121,7 +121,7 @@ def correlation_matrix(rows: np.ndarray) -> np.ndarray:
 
 def write_correlation_csv(matrix: np.ndarray, names, path) -> None:
     """Tidy (row, col, value) CSV; an empty value is a constant feature."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "col", "value"])
         for i, a in enumerate(names):
@@ -190,7 +190,7 @@ def backward_elimination(ds: Dataset, family: str, hp, seed: int,
 
 
 def write_trace_csv(trace: SelectionTrace, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "removed_feature", "f1",
                          "n_features", "feature_subset"])

@@ -48,7 +48,7 @@ class SynthConfig:
 
 
 def load_synth_config(path) -> SynthConfig:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return build(SynthConfig, json.load(fh))
 
 

@@ -233,7 +233,7 @@ def write_features(ds: Dataset, path):
         raise ValueError(f"scenario {ds.scenario!r} holds a line break")
     keys = (ds.keys.tolist() if ds.keys is not None
             else [(i, "?") for i in range(ds.n)])
-    with Path(path).open("w", newline="") as handle:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
         if ds.scenario:
             handle.write(f"# scenario={ds.scenario}\n")
         writer = csv.writer(handle)
@@ -253,7 +253,7 @@ def load_features(path) -> Dataset:
     path = Path(path)
     scenario = None
     header_lines = 1
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         first = handle.readline()
         if first.startswith("# scenario="):
             scenario = first[len("# scenario="):].rstrip("\n")

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import botsift
 from botsift.cli import coerce_value, main, parse_hp
 from botsift.flows import write_flow_csv
 from botsift.models import FAMILIES, load_artifact
@@ -48,7 +52,7 @@ def tiny_features_csv(tmp_path_factory):
 
 
 def read_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
 
@@ -283,6 +287,42 @@ class TestEval:
         assert len(rows) == 2
         # repeated runs report mean and spread
         assert "±" in rows[1][-1]
+
+    def test_files_are_utf8_under_an_ascii_locale(self, flows_csv,
+                                                  tmp_path):
+        # a C locale without UTF-8 mode makes ASCII the default encoding
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+               "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   str(Path(botsift.__file__).parents[1]),
+                   os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from botsift.cli "
+                 "import main; sys.exit(main(sys.argv[1:]))", *argv],
+                env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout.decode("utf-8")
+
+        text = flows_csv.read_text(encoding="utf-8")
+        header, first = text.splitlines()[:2]
+        source = first.split(",")[header.split(",").index("SrcAddr")]
+        capture = tmp_path / "flows.csv"
+        capture.write_text(text.replace(f",{source},", ",hôte,"),
+                           encoding="utf-8")
+        features = tmp_path / "features.csv"
+        run("extract", str(capture), "-o", str(features))
+        # both files are read back as UTF-8
+        assert "hôte" in load_features(features).keys["source"]
+
+        model = tmp_path / "rf.json"
+        run("train", str(features), "--hp", "n-trees=5", "-o", str(model))
+        report = tmp_path / "eval.csv"
+        out = run("eval", str(features), "--model-file", str(model),
+                  "--runs", "2", "--out-csv", str(report))
+        assert "±" in out
+        assert "±" in read_csv(report)[1][-1]
 
     def test_bootstrap_eval(self, features_csv, tmp_path, capsys):
         assert main(["bootstrap-eval", str(features_csv), "--factor", "2",

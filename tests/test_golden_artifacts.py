@@ -172,6 +172,25 @@ PINNED = {
     "nn": (
         "nn", NON_DEFAULT["nn"],
         "6c0d2064f6d6cf92bbcce282d2f36277c6a5fab0054dfadff6ab8000b607f57e"),
+    # taken before nn's parameter layout was written once
+    "nn_one_layer": (
+        "nn", replace(NON_DEFAULT["nn"], hidden=(5,)),
+        "e992057a79cffcefda0c29d9f81bcbc02bb49151274a231ece3a64d612dd9b86"),
+    "nn_three_layers": (
+        "nn", replace(NON_DEFAULT["nn"], hidden=(6, 4, 3)),
+        "2a28430780052755315060d4563a08eb785a40cac40d2c9b198063d8dd6e9735"),
+    "nn_batch_7": (
+        "nn", replace(NON_DEFAULT["nn"], batch_size=7),
+        "45fc4bcd6428829c5926d6489cb5e911a029681a82371ae5ecab06fa9dbc5e82"),
+    "nn_no_momentum": (
+        "nn", replace(NON_DEFAULT["nn"], momentum=0.0),
+        "bd32b635163e6187dfb88b94f7c67d72cbdf3d60ab0caaf16566644bde128afe"),
+    "nn_bn_momentum_0": (
+        "nn", replace(NON_DEFAULT["nn"], bn_momentum=0.0),
+        "5843c004c27d4b792407f217fa32d02a7191dffea2b33e2e1975dacf8710a3af"),
+    "nn_bn_momentum_1": (
+        "nn", replace(NON_DEFAULT["nn"], bn_momentum=1.0),
+        "89a7aa7de29253e6d64ea761de9a2d1be54ae8f7130c9f5fbd3544be0238e640"),
 }
 
 
