@@ -575,8 +575,9 @@ def summarize(table: FlowTable, top_k: int = 10) -> SummaryStats:
     categorical = {}
     for column in CATEGORICAL_SUMMARY_COLUMNS:
         strings = getattr(table, column)
-        counts = zip(strings.values, strings.counts().tolist())
-        top = sorted(counts, key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        counts = strings.counts()  # sorted values: ties go to the smaller
+        top = [(strings.values[i], int(counts[i]))
+               for i in np.argsort(-counts, kind="stable")[:top_k]]
         categorical[column] = CategoricalStats(distinct=len(strings.values),
                                                top=top)
 

@@ -35,28 +35,25 @@ def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):
     y_pm = 2.0 * y - 1.0
     n, d = X.shape
     p0 = float(y.mean())
-
-    if hp.loss == "deviance":
-        f0 = float(np.log(p0 / (1.0 - p0)))
-    else:
-        f0 = 0.5 * float(np.log(p0 / (1.0 - p0)))
+    # the exponential loss's margin F is half the log-odds: see `score`
+    f0 = float(np.log(p0 / (1.0 - p0))) / (1.0 if hp.loss == "deviance"
+                                          else 2.0)
     F = np.full(n, f0)
-
-    def training_loss() -> float:
-        if hp.loss == "deviance":
-            return float(np.mean(softplus(F) - y * F))
-        return float(np.mean(np.exp(np.clip(-y_pm * F, -50, 50))))
-
-    stage_losses = [training_loss()]
-    stages = []
+    stage_losses, stages = [], []
     order = trees.presort(X)  # X is the same for every stage
-    for _ in range(hp.n_trees):
+    while True:
+        # the loss, its negative gradient and its hessian at the margins F
         if hp.loss == "deviance":
             p = sigmoid(F)
+            loss = np.mean(softplus(F) - y * F)
             residual, hessian = y - p, p * (1.0 - p)
         else:
             w = np.exp(np.clip(-y_pm * F, -50, 50))
+            loss = np.mean(w)
             residual, hessian = y_pm * w, w
+        stage_losses.append(float(loss))
+        if len(stages) == hp.n_trees:
+            break
 
         def leaf_value(idx):
             denom = float(np.sum(hessian[idx]))
@@ -66,7 +63,6 @@ def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):
                           lambda: range(d), leaf_value, order=order)
         stages.append(tree)
         F = F + hp.learning_rate * trees.predict(tree, X)
-        stage_losses.append(training_loss())
 
     return {"f0": f0, "trees": stages}, {"stage_losses": stage_losses}
 
@@ -76,6 +72,5 @@ def score(artifact: ModelArtifact, X: np.ndarray) -> np.ndarray:
     lr = artifact.hyperparams["learning_rate"]
     for tree in artifact.parameters["trees"]:
         F += lr * trees.predict(tree, X)
-    if artifact.hyperparams["loss"] == "deviance":
-        return sigmoid(F)
-    return sigmoid(2.0 * F)
+    link = 1.0 if artifact.hyperparams["loss"] == "deviance" else 2.0
+    return sigmoid(link * F)

@@ -41,22 +41,19 @@ def gini_decrease(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
 
 
 def sse_decrease(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Sum-of-squared-error reduction of targets `ts` with integer
-    multiplicities `ws`, both (k, m) and each row sorted by one feature,
-    for a split after each of the first m - 1 positions of every row."""
-    counts = np.cumsum(ws, axis=1, dtype=float)
-    s1 = np.cumsum(ts * ws, axis=1)
-    s2 = np.cumsum(ts * ts * ws, axis=1)
-    n = counts[:, -1:]
-    total1 = s1[:, -1:]
-    total2 = s2[:, -1:]
-    parent = total2 - total1 * total1 / n
-
-    n_left = counts[:, :-1]
-    l1 = s1[:, :-1]
-    l2 = s2[:, :-1]
+    """Sum-of-squared-error reduction of targets `ts`, (k, m) with each
+    row sorted by one feature, for a split after each of the first m - 1
+    positions of every row. Every row counts once: gboost, the only
+    caller, never weights a row, so `ws` goes unread."""
+    m = ts.shape[1]
+    n_left = np.arange(1.0, m)
+    s1 = np.cumsum(ts, axis=1)
+    s2 = np.cumsum(ts * ts, axis=1)
+    total1, total2 = s1[:, -1:], s2[:, -1:]
+    l1, l2 = s1[:, :-1], s2[:, :-1]
+    parent = total2 - total1 * total1 / m
     sse_left = l2 - l1 * l1 / n_left
-    sse_right = (total2 - l2) - (total1 - l1) ** 2 / (n - n_left)
+    sse_right = (total2 - l2) - (total1 - l1) ** 2 / (m - n_left)
     return parent - (sse_left + sse_right)
 
 
@@ -98,14 +95,14 @@ def grow(X: np.ndarray, targets: np.ndarray, decrease,
          on_split=None, weights: np.ndarray | None = None,
          order: np.ndarray | None = None) -> dict:
     """Grow one tree on the rows of `X` that have a positive integer
-    weight (default: every row, weight 1), splitting under `decrease`;
-    a row of weight w counts as w copies everywhere.
+    weight (default: every row, weight 1), splitting under `decrease`,
+    which reads a row of weight w as w copies (`gini_decrease` does).
 
     `order` is `presort(X)`, which callers that grow many trees on one
     `X` compute once. It is split down the tree without sorting again,
     so every node scans its rows in the order of a stable sort of that
     node alone. A node is a leaf holding `leaf_value(idx)`, idx its rows
-    in increasing order, when its weight is under 2, it sits at
+    in increasing order, when it holds fewer than 2 rows, sits at
     `max_depth` (None = unbounded), has constant targets, or no feature
     that `features()` then offers varies; ties keep the feature offered
     first. `on_split(idx, feature, decrease)` sees each split."""
@@ -131,7 +128,7 @@ def grow(X: np.ndarray, targets: np.ndarray, decrease,
         base, mine, depth = node
         idx = np.compress(mine, base[-1])
         t_node = targets[idx]
-        if (weights[idx].sum() < 2
+        if (idx.shape[0] < 2
                 or (max_depth is not None and depth >= max_depth)
                 or np.all(t_node == t_node[0])):
             return None

@@ -20,7 +20,7 @@ from typing import Annotated, Iterable, Optional
 import numpy as np
 
 from .config import check
-from .flows import FlowTable
+from .flows import FlowTable, _is_number_text
 
 FEATURE_NAMES = (
     "counts",
@@ -138,7 +138,9 @@ def normalized_entropy(category_counts: Iterable[int]) -> float:
     if m == 1:
         return 0.0
     total = sum(counts)
-    entropy = -sum((c / total) * math.log(c / total) for c in counts)
+    entropy = 0.0  # left to right: sum() of floats rounds otherwise in 3.12
+    for c in counts:
+        entropy -= (c / total) * math.log(c / total)
     # the ratio is bounded by [0, 1] mathematically; uniform counts can
     # land one ulp above 1 in float arithmetic
     return min(entropy / math.log(m), 1.0)
@@ -246,10 +248,10 @@ def write_features(ds: Dataset, path):
 
 
 def load_features(path) -> Dataset:
-    """Read a feature CSV written by write_features. A row whose cell
-    count differs from the header's, whose window index is not an int64,
-    whose label is not 0 or 1, or whose features are not all finite
-    numbers, is a ValueError naming its line."""
+    """Read a feature CSV written by write_features. A row with a cell
+    count other than the header's, a cell `flows._is_number_text` refuses,
+    a window index that is not an int64, a label other than 0 or 1, or a
+    non-finite feature is a ValueError naming its line."""
     path = Path(path)
     scenario = None
     header_lines = 1
@@ -273,6 +275,11 @@ def load_features(path) -> Dataset:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, the header has "
                                      f"{len(header)}")
+                # the joined cells pass the rule only if every cell does
+                if not _is_number_text(row[0] + row[2] + "".join(row[3:])):
+                    for cell in (row[0], row[2], *row[3:]):
+                        if not _is_number_text(cell):
+                            raise ValueError(f"{cell!r} is not a number")
                 keys.append((int(row[0]), row[1]))
                 if not -2**63 <= keys[-1][0] < 2**63:
                     raise ValueError(f"window index {row[0]} is not an int64")

@@ -12,7 +12,8 @@ import pytest
 
 import botsift
 from botsift.cli import coerce_value, main, parse_hp
-from botsift.flows import write_flow_csv
+from botsift.flows import (CANONICAL_COLUMNS, CATEGORICAL_SUMMARY_COLUMNS,
+                           NUMERIC_SUMMARY_COLUMNS, write_flow_csv)
 from botsift.models import FAMILIES, load_artifact
 from botsift.synth import SynthConfig, generate_scenario
 from botsift.windows import Dataset, load_features, write_features
@@ -123,6 +124,30 @@ class TestSummarize:
         assert "rows rejected: 0" in out
         assert "dur: min=" in out
         assert "proto: " in out
+
+    def test_counts_rejected_rows_by_reason(self, flows_csv, tmp_path,
+                                            capsys):
+        lines = flows_csv.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0]  # no label cell
+        lines[2] = lines[2].replace(",", ",x", 1)  # duration "x1.29..."
+        path = tmp_path / "flows.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert (f"rows accepted: {len(lines) - 3}\nrows rejected: 2\n"
+                "  bad_duration: 1\n  short_row: 1\ndur: min=") in out
+
+    def test_capture_without_an_accepted_row(self, tmp_path, capsys):
+        path = tmp_path / "flows.csv"
+        path.write_text(",".join(CANONICAL_COLUMNS) + "\n1,2\n3\n",
+                        encoding="utf-8")
+        assert main(["summarize", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "rows accepted: 0\nrows rejected: 2\n  short_row: 2\n" in out
+        for column in NUMERIC_SUMMARY_COLUMNS:
+            assert f"\n{column}: empty\n" in out
+        for column in CATEGORICAL_SUMMARY_COLUMNS:
+            assert f"\n{column}: 0 distinct; top: \n" in out
 
     def test_echoes_config_before_loading(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "missing.csv")]) == 1

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import flow_oracle
 from flow_oracle import FlowRecord, parse_flow_record
-from botsift.flows import (ABSENT, CANONICAL_COLUMNS, CHUNK_ROWS,
+from botsift.flows import (ABSENT, CANONICAL_COLUMNS,
+                           CATEGORICAL_SUMMARY_COLUMNS, CHUNK_ROWS,
                            FlowParseError, ParseStats, build_header_map,
                            format_timestamp, load_scenario, parse_timestamp,
                            summarize, write_flow_csv)
@@ -532,6 +533,23 @@ def test_summarize_categorical_counts_absent():
     assert sport.distinct == 2
     assert sport.top[0] == ("80", 2)
     assert (ABSENT, 1) in sport.top
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(st.sampled_from(["", "22", "80", "443", "8080"]),
+                          st.sampled_from(["tcp", "udp", "icmp"])),
+                min_size=1, max_size=30),
+       st.integers(1, 6))
+def test_summarize_top_matches_sorted_oracle(cells, top_k):
+    table = make_table([parse(Sport=sport, Proto=proto)
+                        for sport, proto in cells])
+    stats = summarize(table, top_k)
+    for column in CATEGORICAL_SUMMARY_COLUMNS:
+        # most frequent first, ties to the smaller value
+        strings = getattr(table, column)
+        expected = sorted(zip(strings.values, strings.counts().tolist()),
+                          key=lambda kv: (-kv[1], kv[0]))[:top_k]
+        assert stats.categorical[column].top == expected
 
 
 def test_summarize_empty_table():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from botsift.models import predict, train_model
-from botsift.models.base import load_artifact
+from botsift.models import logreg
+from botsift.models.base import load_artifact, softplus
 from botsift.models.logreg import LogRegParams
 from botsift.models.svm import (SvmParams, map_polynomial, map_rff,
                                 sample_rff)
@@ -130,6 +131,24 @@ class TestLogReg:
                 if "tolerance" in message] == [("botsift.models.logreg",
                                                 logging.WARNING)]
         assert artifact.metadata["converged"] is False
+
+    def test_step_halving_reaches_the_optimum(self, monkeypatch):
+        # full Newton steps overshoot on these rows, so the fit must halve
+        # some of them; each trial step evaluates softplus once
+        X = np.array([[1.0, 20.0], [2.0, 3.0], [3.0, -1.0], [3.0, 1.0],
+                      [3.0, 3.0]])
+        labels = np.array([0, 1, 1, 0, 0])
+        hp = LogRegParams(c=1e6, weight_negative=1.0)
+        calls = []
+        monkeypatch.setattr(logreg, "softplus",
+                            lambda z: calls.append(1) or softplus(z))
+        artifact = train_model("logreg", Dataset(X, labels, ["a", "b"]), hp)
+        assert len(calls) > 1 + artifact.metadata["iterations"]
+        assert artifact.metadata["converged"] is True
+        theta = np.append(artifact.parameters["weights"],
+                          artifact.parameters["bias"])
+        assert np.linalg.norm(make_objective(X, labels, hp)(theta)[1]) < (
+            hp.tol)
 
     def test_artifact_round_trip_is_exact(self, tmp_path):
         ds, _, _ = separable_1d()
@@ -300,6 +319,23 @@ class TestSvm:
                                       predict(artifact, X)[0])
         _, labels = predict(loaded, X)
         assert f1_manual(y, labels) == 1.0
+
+
+    def test_poly_artifact_round_trip(self, tmp_path):
+        ds, X, y = separable_2d(seed=9)
+        artifact = train_model("svm", ds, SvmParams(kernel="poly", degree=2,
+                                                    seed=5))
+        path = tmp_path / "svm.json"
+        artifact.save(path)
+        loaded = load_artifact(path)
+        scores, labels = predict(loaded, X)
+        # the saved weights act on the degree-2 monomials of the rows as
+        # train_model standardizes them
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        margin = (map_polynomial(Xs, 2) @ loaded.parameters["weights"]
+                  + loaded.parameters["bias"])
+        np.testing.assert_array_equal(labels, (margin > 0).astype(int))
+        np.testing.assert_array_equal(scores, predict(artifact, X)[0])
 
 
 class TestKernelMaps:

@@ -18,6 +18,7 @@ import selection_oracle
 from botsift import selection
 from botsift.evaluation import prf1
 from botsift.models import LogRegParams, predict, train_model
+from botsift.reports import filter_table
 from botsift.selection import (FilterResult, backward_elimination,
                                correlation_matrix, filter_select, pca,
                                pearson, write_correlation_csv,
@@ -113,6 +114,16 @@ def filter_fixture(seed=29, n=200):
     flat = np.full(n, 3.0)
     return dataset([hit, echo, junk, flat], y,
                    ["hit", "echo", "junk", "flat"]), y
+
+
+def test_filter_table_lists_constant_features_last(caplog):
+    ds, _ = filter_fixture()
+    result = filter_select(ds, threshold=0.1, redundancy_threshold=0.95)
+    rows = filter_table(result, "filter").rows
+    assert [(name, status) for name, _, status in rows] == [
+        ("hit", "selected"), ("echo", "dropped (redundant)"),
+        ("junk", "below threshold"), ("flat", "constant (excluded)")]
+    assert rows[-1][1] == ""
 
 
 def test_filter_keeps_label_copy_and_prunes_redundant(caplog):
@@ -436,6 +447,17 @@ def test_feature_subset_of_a_split_trains_like_a_split_of_the_subset():
     select_first = ds.select_features(names).subset(rows)
     assert (train_model("logreg", split_first, hp).to_json()
             == train_model("logreg", select_first, hp).to_json())
+
+
+def test_backward_elimination_stops_when_every_removal_lowers_f1():
+    # the label needs both features, so dropping either loses f1
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(150, 2))
+    ds = Dataset(X, (X[:, 0] + X[:, 1] > 0).astype(int), ["a", "b"])
+    trace = backward_elimination(ds, "logreg",
+                                 LogRegParams(weight_negative=1.0), seed=5)
+    assert [(s.feature_subset, s.f1) for s in trace.steps] == [
+        (["a", "b"], 1.0)]
 
 
 def test_backward_elimination_single_feature_stops_immediately():

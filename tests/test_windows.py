@@ -124,6 +124,9 @@ def test_entropy_pinned_examples():
     assert normalized_entropy([4]) == 0.0
     # direct-evaluation oracle for {2,1,1}: H/ln(3)
     assert abs(normalized_entropy([2, 1, 1]) - 0.946394630357186) < 1e-12
+    # the bits of a left-to-right sum, which sum() of floats gives only
+    # before Python 3.12
+    assert normalized_entropy([1, 3, 5]).hex() == "0x1.b4a13790ada8fp-1"
 
 
 def test_entropy_properties_random_multisets():
@@ -468,6 +471,41 @@ def test_load_features_rejects_window_indices_that_are_not_int64(tmp_path,
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"line 4: "):
         load_features(path)
+
+
+@pytest.mark.parametrize("column, cell", [
+    (0, "1_0"), (0, "\u0661"), (2, "\u0661"), (2, "0_1"), (3, "1_5"),
+    (3, "\u0661.5"), (-1, "2_0.0")])
+def test_load_features_rejects_cells_the_capture_reader_refuses(
+        tmp_path, column, cell):
+    # int() and float() read "_" separators and non-ASCII digits; a
+    # capture refuses them, and so does a feature file
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS,
+                       scenario="s")
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    cells[column] = cell
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=rf"line 4: '{cell}' is not a number"):
+        load_features(path)
+
+
+def test_load_features_reads_cells_with_outer_unicode_spaces(tmp_path):
+    # the rule strips a cell first, as float() does
+    ds = build_dataset(table([flow(), flow(offset=200.0)]), DEFAULTS,
+                       scenario="s")
+    path = tmp_path / "features.csv"
+    write_features(ds, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    cells[-1] = "\u00a0" + cells[-1] + "\u2003"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_features(path).rows.tobytes() == ds.rows.tobytes()
 
 
 ONE_LINE = st.characters(exclude_characters="\r\n")
