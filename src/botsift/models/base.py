@@ -48,12 +48,14 @@ class ModelArtifact:
 def load_artifact(path) -> ModelArtifact:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version")
-    if version == 1 and doc["family"] in ("rf", "gboost"):
-        # version 1 stored each tree as nested dicts
-        doc["parameters"]["trees"] = [
-            trees.from_v1(tree) for tree in doc["parameters"]["trees"]]
-    elif version not in (1, ARTIFACT_FORMAT_VERSION):
+    if version not in (1, ARTIFACT_FORMAT_VERSION):
         raise ValueError(f"unsupported artifact format_version: {version}")
+    if doc["family"] in ("rf", "gboost"):
+        forest = doc["parameters"]["trees"]
+        if version == 1:  # version 1 stored each tree as nested dicts
+            forest[:] = map(trees.from_v1, forest)
+        for i, tree in enumerate(forest):
+            trees.check(tree, len(doc["feature_names"]), f"{path}: tree {i}")
     return ModelArtifact(
         family=doc["family"],
         hyperparams=doc["hyperparams"],

@@ -194,6 +194,22 @@ def _preorder(root, split, leaf_value) -> dict:
     return tree
 
 
+def check(tree: dict, n_features: int, name: str):
+    """A ValueError naming `name` and the first node off the layout: an
+    inner node's feature in [0, n_features), children above it (preorder:
+    no cycle) and below the node count; a leaf's feature and children -1."""
+    count = len(tree["feature"])
+    if not count or any(len(tree[key]) != count for key in FIELDS):
+        raise ValueError(f"{name}: per-node lists empty or of unequal lengths")
+    for node, links in enumerate(zip(tree["feature"], tree["left"],
+                                     tree["right"])):
+        if not all(type(v) is int for v in links) or (
+                links != (-1, -1, -1) and not (0 <= links[0] < n_features
+                                               and node < min(links[1:])
+                                               and max(links[1:]) < count)):
+            raise ValueError(f"{name}, node {node}: feature, children {links}")
+
+
 def predict(tree: dict, X: np.ndarray) -> np.ndarray:
     """Leaf value per row; each node splits the rows that reach it."""
     feature, threshold = tree["feature"], tree["threshold"]

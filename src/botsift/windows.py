@@ -11,6 +11,7 @@ columns (duration, total bytes, source bytes).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import KW_ONLY, dataclass, replace
 from datetime import datetime
@@ -20,7 +21,7 @@ from typing import Annotated, Iterable, Optional
 import numpy as np
 
 from .config import check
-from .flows import FlowTable, _is_number_text
+from .flows import CHUNK_ROWS, FlowTable, _is_number_text
 
 FEATURE_NAMES = (
     "counts",
@@ -125,25 +126,30 @@ def resolve_origin(table: FlowTable, cfg: WindowConfig) -> datetime:
 
 
 def normalized_entropy(category_counts: Iterable[int]) -> float:
-    """Shannon entropy of a count multiset scaled to [0, 1] by log(m).
-
-    m is the number of distinct categories; a single category yields 0.
-    """
+    """Shannon entropy of a count multiset scaled to [0, 1] by log(m), m
+    the number of distinct categories; a single category yields 0."""
     counts = list(category_counts)
-    if not counts:
-        raise ValueError("normalized_entropy needs at least one category")
-    if any(c <= 0 for c in counts):
-        raise ValueError("category counts must be positive")
-    m = len(counts)
-    if m == 1:
-        return 0.0
-    total = sum(counts)
-    entropy = 0.0  # left to right: sum() of floats rounds otherwise in 3.12
-    for c in counts:
-        entropy -= (c / total) * math.log(c / total)
-    # the ratio is bounded by [0, 1] mathematically; uniform counts can
-    # land one ulp above 1 in float arithmetic
-    return min(entropy / math.log(m), 1.0)
+    if not counts or min(counts) <= 0:
+        raise ValueError("normalized_entropy needs positive counts")
+    return float(_normalized_entropies(np.array([counts]))[0])
+
+
+def _normalized_entropies(counts: np.ndarray) -> np.ndarray:
+    """normalized_entropy of each row of a (groups, k) count matrix, its
+    rows zero-padded at the right. A term p * log(p) uses `math.log`, not
+    `np.log`, which can differ in the last bit; `cumsum` adds a row's terms
+    strictly left to right, the padding adding nothing, as a loop would."""
+    m = np.count_nonzero(counts, axis=1)
+    multi = np.flatnonzero(m > 1)  # one category has entropy 0
+    counts, out = counts[multi], np.zeros(len(counts))
+    present = counts > 0
+    terms = counts / counts.sum(axis=1, keepdims=True)
+    p, inverse = np.unique(terms[present], return_inverse=True)
+    terms[present] = (p * [math.log(v) for v in p.tolist()])[inverse]
+    # uniform counts can land one ulp above 1 in float arithmetic
+    out[multi] = np.minimum(-np.cumsum(terms, axis=1)[:, -1] / [
+        math.log(k) for k in m[multi].tolist()], 1.0)
+    return out
 
 
 def _category_features(block: np.ndarray) -> tuple:
@@ -154,22 +160,17 @@ def _category_features(block: np.ndarray) -> tuple:
     head of its run; ordering the runs by that member gives the counts in
     order of first appearance, the order in which the entropy adds them.
     """
-    size = block.shape[1]
     order = np.argsort(block, axis=1, kind="stable")
     ranked = np.take_along_axis(block, order, axis=1)
     head = np.ones(block.shape, dtype=bool)
     head[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
     heads = np.flatnonzero(head)  # each row opens a run: none spans rows
-    first = heads - heads % size + order.ravel()[heads]
-    counts = np.diff(heads, append=block.size)[np.argsort(first)].tolist()
+    first = heads - heads % block.shape[1] + order.ravel()[heads]
     nunique = head.sum(axis=1)
-    entropy = np.zeros(len(block))
-    multi = np.flatnonzero(nunique > 1)
-    ends = np.cumsum(nunique)[multi]
-    for g, start, end in zip(multi.tolist(), (ends - nunique[multi]).tolist(),
-                             ends.tolist()):
-        entropy[g] = normalized_entropy(counts[start:end])
-    return nunique, entropy
+    counts = np.zeros((len(block), nunique.max()), dtype=np.int64)
+    counts[np.arange(counts.shape[1]) < nunique[:, None]] = np.diff(
+        heads, append=block.size)[np.argsort(first)]
+    return nunique, _normalized_entropies(counts)
 
 
 def build_dataset(table: FlowTable, cfg: WindowConfig,
@@ -230,21 +231,37 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
 
 def write_features(ds: Dataset, path):
     """Feature CSV: window_index,src_addr,label,<feature columns>,
-    preceded by a '# scenario=' comment when the dataset is named."""
+    preceded by a '# scenario=' comment when the dataset is named, in
+    the csv module's bytes, each feature `%.12g`. A distinct value (by
+    its bits: -0.0 stays "-0") is formatted once, a source quoted once."""
     if ds.scenario and ("\n" in ds.scenario or "\r" in ds.scenario):
         raise ValueError(f"scenario {ds.scenario!r} holds a line break")
     keys = (ds.keys.tolist() if ds.keys is not None
             else [(i, "?") for i in range(ds.n)])
+    labels = ds.labels.tolist()
+    quoted = {source: _csv_cell(source) for source in {s for _, s in keys}}
+    bits, where = np.unique(ds.rows.ravel().view(np.uint64),
+                            return_inverse=True)
+    cells = np.array([",%.12g" % v for v in bits.view(float).tolist()],
+                     dtype=object)
+    where = where.reshape(ds.rows.shape)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         if ds.scenario:
             handle.write(f"# scenario={ds.scenario}\n")
-        writer = csv.writer(handle)
-        writer.writerow(["window_index", "src_addr", "label",
-                         *ds.feature_names])
-        for (window_index, src_addr), label, row in zip(keys, ds.labels,
-                                                        ds.rows):
-            writer.writerow([window_index, src_addr, int(label),
-                             * ("%.12g" % v for v in row)])
+        csv.writer(handle).writerow(["window_index", "src_addr", "label",
+                                     *ds.feature_names])
+        for at in range(0, ds.n, CHUNK_ROWS):
+            rows = zip(keys[at:at + CHUNK_ROWS], labels[at:at + CHUNK_ROWS],
+                       cells[where[at:at + CHUNK_ROWS]].tolist())
+            handle.write("".join(f"{w},{quoted[s]},{label}{''.join(row)}\r\n"
+                                 for (w, s), label, row in rows))
+
+
+def _csv_cell(text: str) -> str:
+    """text as the csv module writes it between two cells of a row."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(("", text, ""))
+    return buffer.getvalue()[1:-3]
 
 
 def load_features(path) -> Dataset:

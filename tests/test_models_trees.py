@@ -2,7 +2,9 @@
 oracles, a closed-form stump, and structural invariants."""
 
 import contextlib
+import functools
 import gc
+import json
 import signal
 
 import numpy as np
@@ -562,3 +564,59 @@ class TestTreeCoreProperties:
         keys = [(row.tobytes(), label) for row, label in zip(X, y)]
         assert len(set(keys)) == first.shape[0]
         assert [keys[i] for i in first[pair_of]] == keys
+
+
+@functools.cache
+def saved_tree_artifacts() -> dict:
+    """The JSON of a small rf and a small gboost artifact, by family."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(60, 3))
+    ds = Dataset(X, (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int),
+                 ["a", "b", "c"])
+    return {family: train_model(family, ds, hp).to_json() for family, hp in (
+        ("rf", ForestParams(n_trees=3, seed=2)),
+        ("gboost", BoostingParams(n_trees=3, max_depth=3)))}
+
+
+def test_a_tree_with_a_cycle_is_refused_on_load(tmp_path):
+    # predict on this tree would send the root's left rows back to the
+    # root forever
+    doc = json.loads(saved_tree_artifacts()["rf"])
+    doc["parameters"]["trees"][1]["left"][0] = 0
+    path = tmp_path / "rf.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"rf.json: tree 1, node 0: "):
+        load_artifact(path)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["rf", "gboost"]), st.data())
+def test_trees_off_the_layout_are_refused_on_load(tmp_path_factory, family,
+                                                  data):
+    path = tmp_path_factory.mktemp("trees") / f"{family}.json"
+    path.write_text(saved_tree_artifacts()[family])
+    load_artifact(path)  # every grown tree is in preorder and passes
+    doc = json.loads(path.read_text())
+    t = data.draw(st.integers(0, len(doc["parameters"]["trees"]) - 1))
+    tree = doc["parameters"]["trees"][t]
+    count = len(tree["feature"])
+    if data.draw(st.booleans()):
+        # one per-node list one entry short or long
+        key = data.draw(st.sampled_from(trees.FIELDS))
+        tree[key] = tree[key][:-1] if data.draw(st.booleans()) else (
+            tree[key] + [0])
+        message = rf"tree {t}: per-node lists"
+    else:
+        node = data.draw(st.integers(0, count - 1))
+        key = data.draw(st.sampled_from(["feature", "left", "right"]))
+        if tree["feature"][node] == -1:  # a leaf: anything but -1
+            bad = st.integers(-5, count + 5).filter(lambda v: v != -1)
+        elif key == "feature":  # outside [0, 3)
+            bad = st.integers(-5, -1) | st.integers(3, 8)
+        else:  # at or below the node, or past the last node
+            bad = st.integers(-5, node) | st.integers(count, count + 5)
+        tree[key][node] = data.draw(bad | st.just(float(tree[key][node])))
+        message = rf"tree {t}, node {node}: "
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_artifact(path)

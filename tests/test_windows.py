@@ -8,15 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
 import window_oracle
 from flow_oracle import FlowRecord
 from botsift.cli import main
-from botsift.flows import ABSENT, ParseStats
+from botsift.flows import ABSENT, CHUNK_ROWS, ParseStats
 from botsift.windows import (FEATURE_NAMES, KEY, Dataset, WindowConfig,
+                             _category_features, _normalized_entropies,
                              build_dataset, load_features,
                              normalized_entropy, resolve_origin,
                              window_spans, write_features)
@@ -152,6 +153,38 @@ def test_entropy_errors():
         normalized_entropy([])
     with pytest.raises(ValueError):
         normalized_entropy([2, 0])
+
+
+def test_entropy_pin_holds_through_a_block_in_first_appearance_order():
+    # codes in sorted order would give the counts [3, 5, 1], whose sum
+    # ends in ...ada90
+    nunique, entropy = _category_features(np.array(
+        [[7, 2, 4, 2, 4, 4, 2, 4, 4], [3] * 9]))
+    assert nunique.tolist() == [3, 1]
+    assert entropy[0].hex() == "0x1.b4a13790ada8fp-1"
+    assert entropy[1] == 0.0
+
+
+COUNTS = st.integers(1, 2000)
+COUNT_ROWS = st.one_of(
+    st.lists(COUNTS, min_size=1, max_size=1),
+    st.lists(COUNTS, min_size=2, max_size=64),
+    st.tuples(COUNTS, st.integers(2, 64)).map(lambda cm: [cm[0]] * cm[1]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(COUNT_ROWS, min_size=1, max_size=12))
+# rows whose entropy numpy's AVX-512 log would change in the last bit
+@example([[1438, 145], [7], [1825, 1965], [1953, 452]])
+def test_entropies_match_the_scalar_loop_bit_for_bit(rows):
+    """Blocks mix single-category, uniform and many-category rows."""
+    counts = np.zeros((len(rows), max(map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        counts[i, :len(row)] = row
+    expected = [window_oracle.normalized_entropy(row).hex() for row in rows]
+    assert [v.hex() for v in _normalized_entropies(counts).tolist()] == (
+        expected)
+    assert [normalized_entropy(row).hex() for row in rows] == expected
 
 
 def test_extract_features_singleton():
@@ -550,3 +583,39 @@ def test_feature_file_round_trip_and_subset_lines(tmp_path_factory, ds,
         head = len(lines) - ds.n
         assert path.read_bytes().splitlines(keepends=True) == (
             lines[:head] + [lines[head + i] for i in idx])
+
+
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, float(2**53 + 1), 1e16,
+                     123456789012.0, 0.123456789012, -9.87654321098e-5,
+                     1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False))
+ROW_SOURCES = SOURCES | st.sampled_from(["a\r\nb", "\n", "\r", "c,\nd"])
+
+
+@st.composite
+def feature_datasets(draw):
+    """Datasets whose cells repeat a few drawn values and whose rows
+    cross chunk boundaries; keys and scenario may each be None."""
+    n = draw(st.sampled_from([1, 2, 17, CHUNK_ROWS, CHUNK_ROWS + 3]))
+    d = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array(draw(st.lists(FEATURE_VALUES, min_size=1, max_size=30)))
+    sources = draw(st.lists(ROW_SOURCES, min_size=1, max_size=8))
+    keys = None if draw(st.booleans()) else np.array(list(zip(
+        rng.integers(-2**63, 2**63 - 1, n, endpoint=True).tolist(),
+        [sources[i] for i in rng.integers(len(sources), size=n)])), KEY)
+    return Dataset(values[rng.integers(len(values), size=(n, d))],
+                   rng.integers(0, 2, n), [f"f{j}" for j in range(d)],
+                   scenario=draw(st.none() | st.text(ONE_LINE, max_size=8)),
+                   keys=keys)
+
+
+@settings(deadline=None, max_examples=100)
+@given(feature_datasets())
+def test_writer_gives_the_bytes_of_the_per_row_writer(tmp_path_factory, ds):
+    folder = tmp_path_factory.mktemp("writers")
+    write_features(ds, folder / "chunked.csv")
+    window_oracle.write_features(ds, folder / "per_row.csv")
+    assert (folder / "chunked.csv").read_bytes() == (
+        folder / "per_row.csv").read_bytes()

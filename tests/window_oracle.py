@@ -3,20 +3,24 @@
 This is the straightforward version of `botsift.windows.build_dataset`:
 each flow is placed in its windows by the interval definition, grouped
 in a dict, and every group is reduced with its own numpy and `Counter`
-calls. Flows are read back from the table's columns as FlowRecords, and
-their offsets come from datetime arithmetic. The program's size-bucketed
-path must reproduce it bit for bit.
+calls, its entropies with a scalar loop. Flows are read back from the
+table's columns as FlowRecords, and their offsets come from datetime
+arithmetic. The program's size-bucketed path must reproduce it bit for
+bit. `write_features` is the per-row writer that the program's
+chunked one must reproduce byte for byte.
 """
 
+import csv
 import math
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
 
 import flow_oracle
 from botsift.flows import ABSENT
 from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, KEY, Dataset,
-                             normalized_entropy, resolve_origin)
+                             resolve_origin)
 
 
 def window_span_indices(t: float, cfg) -> list:
@@ -26,6 +30,19 @@ def window_span_indices(t: float, cfg) -> list:
     lo = max(0, k_min - 1)
     return [k for k in range(lo, k_max + 2)
             if k * cfg.stride <= t < k * cfg.stride + cfg.width]
+
+
+def normalized_entropy(counts) -> float:
+    """Entropy of a list of positive counts over log(m), each term
+    subtracted in turn, left to right."""
+    m = len(counts)
+    if m == 1:
+        return 0.0
+    total = sum(counts)
+    entropy = 0.0
+    for c in counts:
+        entropy -= (c / total) * math.log(c / total)
+    return min(entropy / math.log(m), 1.0)
 
 
 def _numeric_block(values: np.ndarray) -> tuple:
@@ -43,7 +60,7 @@ def extract_features(members: list) -> np.ndarray:
     return np.array(
         (float(len(members)),) + tuple(float(len(c)) for c in cats)
         + sum((_numeric_block(v) for v in nums), ())
-        + tuple(normalized_entropy(c.values()) for c in cats),
+        + tuple(normalized_entropy(list(c.values())) for c in cats),
         dtype=float)
 
 
@@ -68,3 +85,19 @@ def build_dataset(table, cfg, scenario=None) -> Dataset:
     return Dataset(rows, labels, list(FEATURE_NAMES),
                    scenario=scenario or table.source_path,
                    keys=np.array(keys, KEY))
+
+
+def write_features(ds: Dataset, path):
+    """One csv row per feature row, each value formatted on its own."""
+    keys = (ds.keys.tolist() if ds.keys is not None
+            else [(i, "?") for i in range(ds.n)])
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        if ds.scenario:
+            handle.write(f"# scenario={ds.scenario}\n")
+        writer = csv.writer(handle)
+        writer.writerow(["window_index", "src_addr", "label",
+                         *ds.feature_names])
+        for (window_index, src_addr), label, row in zip(keys, ds.labels,
+                                                        ds.rows):
+            writer.writerow([window_index, src_addr, int(label),
+                             * ("%.12g" % v for v in row)])
