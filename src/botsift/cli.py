@@ -256,8 +256,7 @@ def cmd_synth(args) -> int:
     echo_config(args, {"resolved_config": cfg})
     table = synth.generate_scenario(cfg)
     flows.write_flow_csv(table, args.out)
-    botnet = int(table.label.matches(
-        lambda label: windows.BOTNET_MARKER in label).sum())
+    botnet = int(windows.botnet_flows(table).sum())
     print(f"generated {len(table)} flows "
           f"({botnet} botnet); wrote {args.out}")
     return 0

@@ -20,7 +20,7 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from itertools import compress, count, islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence
@@ -44,10 +44,6 @@ CATEGORICAL_SUMMARY_COLUMNS = (
 # Display marker for empty optional cells (also used as the category key for
 # absent values in feature extraction).
 ABSENT = "∅"
-
-# FlowTable.t_us counts microseconds from this naive instant.
-_EPOCH = datetime(1970, 1, 1)
-_ONE_US = timedelta(microseconds=1)
 
 # Rows decoded together by load_scenario: enough to amortize the numpy calls
 # of a chunk, few enough that its cell strings stay a few MiB.
@@ -100,18 +96,14 @@ class StringColumn:
     def counts(self) -> np.ndarray:
         return np.bincount(self.codes, minlength=len(self.values))
 
-    def matches(self, predicate) -> np.ndarray:
-        """Per flow, whether predicate holds for its value."""
-        return np.array([predicate(v) for v in self.values], bool)[self.codes]
-
 
 @dataclass
 class FlowTable:
     """Parsed flows, one array per column, plus parse accounting.
 
-    `t_us` holds int64 microseconds since 1970-01-01 (naive), read as
-    times through the methods below: float64 epoch seconds cannot hold
-    every microsecond of a present-day time. `dur` and the three counts
+    `t_us` holds int64 microseconds since 1970-01-01 (naive), the
+    `micros` of each start time: float64 epoch seconds cannot hold every
+    microsecond of a present-day time. `dur` and the three counts
     are float64; a count is the truncated float of its cell. The other
     columns are StringColumns, with an empty optional cell as ABSENT and
     a ToS byte as the text of its integer value.
@@ -138,21 +130,14 @@ class FlowTable:
     def __len__(self):
         return len(self.t_us)
 
-    def start_times(self) -> list:
-        """Each flow's start time, in table order."""
-        return [_EPOCH + timedelta(microseconds=t) for t in self.t_us.tolist()]
-
-    def start(self) -> datetime:
-        """The earliest start time of a non-empty table."""
-        return _EPOCH + timedelta(microseconds=int(self.t_us.min()))
-
-    def seconds_after(self, origin: datetime) -> np.ndarray:
-        """(start - origin).total_seconds() of each flow, bit for bit: the
-        microsecond difference over 1e6, which is exact while the
-        difference fits in 53 bits, and done on Python ints beyond that."""
-        delta = self.t_us - (origin - _EPOCH) // _ONE_US
+    def offsets(self) -> np.ndarray:
+        """(start - earliest start).total_seconds() of each flow of a
+        non-empty table, bit for bit: the microsecond difference over
+        1e6, which is exact while the difference fits in 53 bits, and
+        done on Python ints beyond that."""
+        delta = self.t_us - self.t_us.min()
         seconds = delta / 1e6
-        far = np.flatnonzero(np.abs(delta) > 2**53)
+        far = np.flatnonzero(delta > 2**53)
         seconds[far] = [d / 10**6 for d in delta[far].tolist()]
         return seconds
 
@@ -208,10 +193,9 @@ def parse_timestamp(text: str) -> datetime:
         raise FlowParseError("bad_timestamp", text) from exc
 
 
-def format_timestamp(ts: datetime) -> str:
-    """The fixed-width form: strftime's %Y does not pad a year below
-    1000."""
-    return f"{ts.year:04d}/{ts:%m/%d %H:%M:%S.%f}"
+def micros(ts: datetime) -> int:
+    """A naive datetime as microseconds since 1970-01-01."""
+    return int(np.datetime64(ts, "us").astype(np.int64))
 
 
 def _required(cell: str) -> Optional[str]:
@@ -381,7 +365,7 @@ def _timestamps(cells: Sequence[str]) -> tuple:
     t_us = seconds * 1_000_000 + _stamp_field(digits, 20, 26)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            t_us[i] = (parse_timestamp(cells[i]) - _EPOCH) // _ONE_US
+            t_us[i] = micros(parse_timestamp(cells[i]))
         except FlowParseError:
             continue
         valid[i] = True
@@ -535,8 +519,10 @@ def write_flow_csv(table: FlowTable, path):
     def integers(values: np.ndarray) -> list:
         return [str(int(v)) for v in values.tolist()]
 
+    # numpy writes 'YYYY-MM-DDTHH:MM:SS.ffffff', a year below 1000 padded
+    stamps = np.datetime_as_string(table.t_us.astype("M8[us]")).tolist()
     cells = [
-        list(map(format_timestamp, table.start_times())),
+        [s.replace("-", "/").replace("T", " ") for s in stamps],
         list(map(repr, table.dur.tolist())),
         *map(text, ("proto", "src_addr", "sport", "dir", "dst_addr",
                     "dport", "state", "s_tos", "d_tos")),

@@ -18,10 +18,10 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .config import Count, Seed, build, check
-from .flows import _EPOCH, _ONE_US, ABSENT, FlowTable, StringColumn
+from .flows import ABSENT, FlowTable, StringColumn, micros
 
 BASE_TIME = datetime(2011, 8, 10, 9, 0, 0)
-_BASE_US = (BASE_TIME - _EPOCH) // _ONE_US
+_BASE_US = micros(BASE_TIME)
 
 COMMON_DPORTS = ("80", "443", "53", "25", "110", "143", "123", "22",
                  "8080", "3389")

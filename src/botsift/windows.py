@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import KW_ONLY, dataclass, replace
-from datetime import datetime
 from pathlib import Path
 from typing import Annotated, Iterable, Optional
 
@@ -42,11 +41,11 @@ KEY = np.dtype([("window", np.int64), ("source", object)])
 
 @dataclass(frozen=True)
 class WindowConfig:
-    """Window width/stride in seconds; origin defaults to the earliest flow."""
+    """Window width/stride in seconds; window 0 starts at the earliest
+    flow."""
 
     width: float = 120.0
     stride: Annotated[float, "(0, inf)"] = 60.0
-    origin: Optional[datetime] = None
 
     def __post_init__(self):
         check(self)
@@ -117,12 +116,11 @@ def window_spans(t: np.ndarray, cfg: WindowConfig) -> tuple:
     return flows, windows
 
 
-def resolve_origin(table: FlowTable, cfg: WindowConfig) -> datetime:
-    if cfg.origin is not None:
-        return cfg.origin
-    if not len(table):
-        raise ValueError("cannot derive a window origin from an empty table")
-    return table.start()
+def botnet_flows(table: FlowTable) -> np.ndarray:
+    """Per flow, whether its label holds BOTNET_MARKER."""
+    labels = table.label
+    return np.array([BOTNET_MARKER in v for v in labels.values],
+                    bool)[labels.codes]
 
 
 def normalized_entropy(category_counts: Iterable[int]) -> float:
@@ -181,8 +179,7 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
     along its rows, which gives the bits of reducing each group alone."""
     if not len(table):
         raise ValueError("cannot build a dataset from an empty table")
-    origin = resolve_origin(table, cfg)
-    flow, window = window_spans(table.seconds_after(origin), cfg)
+    flow, window = window_spans(table.offsets(), cfg)
     src_names, src = table.src_addr.values, table.src_addr.codes
     # one int per (window, source) pair, in the pairs' order
     key = window * len(src_names) + src[flow]
@@ -208,8 +205,7 @@ def build_dataset(table: FlowTable, cfg: WindowConfig,
             yield bucket, column[flow[members]]
 
     labels = np.zeros(len(starts), dtype=bool)
-    for bucket, block in blocks(table.label.matches(
-            lambda label: BOTNET_MARKER in label)):
+    for bucket, block in blocks(botnet_flows(table)):
         labels[bucket] = block.any(axis=1)
     for i, attr in enumerate(("sport", "dst_addr", "dport")):
         for bucket, block in blocks(getattr(table, attr).codes):
@@ -275,7 +271,7 @@ def load_features(path) -> Dataset:
     with path.open(newline="", encoding="utf-8") as handle:
         first = handle.readline()
         if first.startswith("# scenario="):
-            scenario = first[len("# scenario="):].rstrip("\n")
+            scenario = first[len("# scenario="):].rstrip("\r\n")
             first = handle.readline()
             header_lines += 1
         header = next(csv.reader([first]))

@@ -7,6 +7,10 @@ and the text rules are those of `botsift.flows._CELL_RULES`; the number
 rules are this module's own, with Python's float() and int() on one cell
 at a time where the program decodes a column with numpy.
 
+`format_timestamp` writes one start time as
+`botsift.flows.write_flow_csv` must write it, and `records` rebuilds
+each start time from `t_us` with datetime arithmetic.
+
 `load` is the straightforward version of `botsift.flows.load_scenario`:
 every row of `csv.reader` goes through `parse_flow_record` on its own,
 and `table` turns the accepted records into a FlowTable column by column,
@@ -31,6 +35,7 @@ OPTIONAL = ("sport", "dport", "state", "s_tos", "d_tos")
 TEXT = ("proto", "src_addr", "sport", "dir", "dst_addr", "dport", "state",
         "s_tos", "d_tos", "label")
 EPOCH = datetime(1970, 1, 1)
+ONE_US = timedelta(microseconds=1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,6 +57,12 @@ class FlowRecord:
     tot_bytes: int
     src_bytes: int
     label: str
+
+
+def format_timestamp(ts: datetime) -> str:
+    """The fixed-width form: strftime's %Y does not pad a year below
+    1000."""
+    return f"{ts.year:04d}/{ts:%m/%d %H:%M:%S.%f}"
 
 
 def number(cell: str) -> float:
@@ -159,9 +170,8 @@ def table(records: Sequence[FlowRecord], source_path: str = None,
     def floats(name):
         return np.array([getattr(r, name) for r in records], np.float64)
 
-    one_us = timedelta(microseconds=1)
     return FlowTable(
-        t_us=np.array([(r.start_time - EPOCH) // one_us for r in records],
+        t_us=np.array([(r.start_time - EPOCH) // ONE_US for r in records],
                       np.int64),
         **{name: floats(name)
            for name in ("dur", "tot_pkts", "tot_bytes", "src_bytes")},
@@ -224,7 +234,7 @@ def records(table: FlowTable) -> list:
 
     columns = {f.name: strings(f.name) for f in fields(FlowTable)
                if isinstance(getattr(table, f.name), StringColumn)}
-    columns["start_time"] = table.start_times()
+    columns["start_time"] = [EPOCH + t * ONE_US for t in table.t_us.tolist()]
     columns["dur"] = table.dur.tolist()
     for name in ("tot_pkts", "tot_bytes", "src_bytes"):
         columns[name] = [int(v) for v in getattr(table, name).tolist()]

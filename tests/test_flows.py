@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import tempfile
+from dataclasses import replace
 from datetime import datetime
 from pathlib import Path
 
@@ -13,12 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flow_oracle
-from flow_oracle import FlowRecord, parse_flow_record
+from flow_oracle import FlowRecord, format_timestamp, parse_flow_record
 from botsift.flows import (ABSENT, CANONICAL_COLUMNS,
                            CATEGORICAL_SUMMARY_COLUMNS, CHUNK_ROWS,
                            FlowParseError, ParseStats, build_header_map,
-                           format_timestamp, load_scenario, parse_timestamp,
-                           summarize, write_flow_csv)
+                           load_scenario, micros, parse_timestamp, summarize,
+                           write_flow_csv)
 
 HEADER_MAP = build_header_map(CANONICAL_COLUMNS)
 
@@ -475,6 +476,31 @@ def test_write_flow_csv_pads_years_below_1000(tmp_path):
     table = load_scenario(path)
     assert (table.parse_stats.accepted, table.parse_stats.rejected) == (1, 0)
     assert flow_oracle.records(table) == [early]
+
+
+# years 1 to 9999, some draws held below year 1000 or before 1970
+START_TIMES = (st.datetimes(max_value=datetime(999, 12, 31, 23, 59, 59))
+               | st.datetimes(max_value=datetime(1969, 12, 31, 23, 59, 59))
+               | st.datetimes())
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(START_TIMES, min_size=1, max_size=30))
+@example([datetime.min, datetime.max, datetime(1969, 12, 31, 23, 59, 59,
+                                               999999), datetime(1970, 1, 1)])
+def test_write_flow_csv_start_times_match_oracle(starts):
+    written = flow_oracle.table([replace(parse(), start_time=ts)
+                                 for ts in starts])
+    assert written.t_us.tolist() == list(map(micros, starts))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "starts.csv"
+        write_flow_csv(written, path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            cells = [row[0] for row in csv.reader(fh)][1:]
+        table = load_scenario(path)
+    assert cells == list(map(format_timestamp, starts))
+    assert table.parse_stats.rejected == 0
+    assert table.t_us.tolist() == written.t_us.tolist()
 
 
 def test_serialize_uses_exact_duration(tmp_path):

@@ -19,8 +19,8 @@ from botsift.flows import ABSENT, CHUNK_ROWS, ParseStats
 from botsift.windows import (FEATURE_NAMES, KEY, Dataset, WindowConfig,
                              _category_features, _normalized_entropies,
                              build_dataset, load_features,
-                             normalized_entropy, resolve_origin,
-                             window_spans, write_features)
+                             normalized_entropy, window_spans,
+                             write_features)
 
 T0 = datetime(2011, 8, 10, 9, 0, 0)
 DATA = Path(__file__).parent / "data"
@@ -87,12 +87,12 @@ def test_span_drops_flows_before_the_origin():
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.lists(st.datetimes(), min_size=1, max_size=20), st.datetimes())
-def test_offsets_from_microseconds_equal_total_seconds(starts, origin):
-    # any two datetimes, so differences run far past 2**53 microseconds
+@given(st.lists(st.datetimes(), min_size=1, max_size=20))
+def test_offsets_from_microseconds_equal_total_seconds(starts):
+    # any datetimes, so differences run far past 2**53 microseconds
     starts_table = table([replace(flow(), start_time=s) for s in starts])
-    assert starts_table.seconds_after(origin).tolist() == [
-        (s - origin).total_seconds() for s in starts]
+    assert starts_table.offsets().tolist() == [
+        (s - min(starts)).total_seconds() for s in starts]
 
 
 def test_window_config_validation():
@@ -104,11 +104,12 @@ def test_window_config_validation():
         WindowConfig(width=math.inf, stride=math.inf)
 
 
-def test_resolve_origin_earliest_start():
-    t = table([flow(offset=30.0), flow(offset=5.0), flow(offset=90.0)])
-    assert resolve_origin(t, DEFAULTS) == T0 + timedelta(seconds=5)
-    pinned = WindowConfig(origin=T0)
-    assert resolve_origin(t, pinned) == T0
+def test_windows_count_from_earliest_start():
+    t = table([flow(offset=70.0), flow(offset=30.0), flow(offset=150.0)])
+    assert t.offsets().tolist() == [40.0, 0.0, 120.0]
+    ds = build_dataset(t, DEFAULTS)
+    assert ds.keys["window"].tolist() == [0, 1, 2]
+    assert ds.rows[:, 0].tolist() == [2.0, 1.0, 1.0]
 
 
 def test_assign_windows_membership():
@@ -300,15 +301,6 @@ def test_build_dataset_empty_table_errors():
         build_dataset(table([]), DEFAULTS)
 
 
-def test_build_dataset_origin_after_every_flow_is_empty():
-    records = [flow(offset=float(i)) for i in range(5)]
-    cfg = WindowConfig(origin=T0 + timedelta(seconds=1000))
-    ds = build_dataset(table(records), cfg)
-    assert ds.rows.shape == (0, len(FEATURE_NAMES))
-    assert ds.labels.shape == (0,)
-    assert ds.keys.tolist() == []
-
-
 PORTS = (None, ABSENT, "53", "80", "443", "1024", "6667")
 ADDRS = ("10.0.0.1", "10.0.0.2", "147.32.84.165", "192.168.1.9")
 LABELS = ("flow=Background", "flow=Normal-V42", "flow=From-Botnet-V42",
@@ -343,11 +335,7 @@ def flow_tables(draw):
     width = draw(st.floats(0.5, 300.0))
     ratio = draw(st.one_of(st.just(1.0), st.just(0.5), st.just(1 / 3),
                            st.floats(0.05, 1.0)))
-    origin = draw(st.one_of(
-        st.none(),
-        st.floats(-500.0, span + 100.0).map(
-            lambda s: T0 + timedelta(microseconds=round(s * 1e6)))))
-    cfg = WindowConfig(width=width, stride=width * ratio, origin=origin)
+    cfg = WindowConfig(width=width, stride=width * ratio)
     return table(records), cfg
 
 
@@ -447,6 +435,17 @@ def test_feature_csv_without_scenario_comment(tmp_path):
     loaded = load_features(path)
     assert loaded.scenario is None
     assert loaded.n == 1
+
+
+def test_load_features_reads_crlf_scenario_line(tmp_path):
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(b"# scenario=demo\r\n"
+                     + b"window_index,src_addr,label,counts\r\n"
+                     + b"0,10.0.0.1,1,3\r\n")
+    loaded = load_features(path)
+    assert loaded.scenario == "demo"
+    write_features(loaded, tmp_path / "again.csv")
+    assert load_features(tmp_path / "again.csv").scenario == "demo"
 
 
 def test_load_features_rejects_non_finite_values(tmp_path):

@@ -4,10 +4,10 @@ This is the straightforward version of `botsift.windows.build_dataset`:
 each flow is placed in its windows by the interval definition, grouped
 in a dict, and every group is reduced with its own numpy and `Counter`
 calls, its entropies with a scalar loop. Flows are read back from the
-table's columns as FlowRecords, and their offsets come from datetime
-arithmetic. The program's size-bucketed path must reproduce it bit for
-bit. `write_features` is the per-row writer that the program's
-chunked one must reproduce byte for byte.
+table's columns as FlowRecords, and their offsets from the earliest
+start come from datetime arithmetic. The program's size-bucketed path
+must reproduce it bit for bit. `write_features` is the per-row writer
+that the program's chunked one must reproduce byte for byte.
 """
 
 import csv
@@ -19,8 +19,7 @@ import numpy as np
 
 import flow_oracle
 from botsift.flows import ABSENT
-from botsift.windows import (BOTNET_MARKER, FEATURE_NAMES, KEY, Dataset,
-                             resolve_origin)
+from botsift.windows import BOTNET_MARKER, FEATURE_NAMES, KEY, Dataset
 
 
 def window_span_indices(t: float, cfg) -> list:
@@ -70,9 +69,10 @@ def label_group(members: list) -> int:
 
 
 def build_dataset(table, cfg, scenario=None) -> Dataset:
-    origin = resolve_origin(table, cfg)
+    records = flow_oracle.records(table)
+    origin = min(record.start_time for record in records)
     groups = defaultdict(list)
-    for record in flow_oracle.records(table):
+    for record in records:
         t = (record.start_time - origin).total_seconds()
         for k in window_span_indices(t, cfg):
             groups[(k, record.src_addr)].append(record)
