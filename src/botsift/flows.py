@@ -45,8 +45,8 @@ CATEGORICAL_SUMMARY_COLUMNS = (
 # absent values in feature extraction).
 ABSENT = "∅"
 
-# Rows decoded together by load_scenario: enough to amortize the numpy calls
-# of a chunk, few enough that its cell strings stay a few MiB.
+# Rows decoded together by load_scenario and windows.load_features: enough
+# to amortize a chunk's numpy calls, few enough that its cells take a few MiB.
 CHUNK_ROWS = 2048
 
 _MAX_REJECTION_SAMPLES = 10
@@ -214,15 +214,10 @@ def _label(cell: str) -> Optional[str]:
 def _type_of_service(cell: str) -> Optional[str]:
     """The text of the ToS byte's integer value, ABSENT for an empty
     cell."""
-    text = cell.strip()
-    if not text:
+    if not cell.strip():
         return ABSENT
-    if not _is_number_text(text):
-        return None
-    try:
-        return str(int(float(text)))
-    except (ValueError, OverflowError):
-        return None
+    (value,), (refused,) = _numbers([cell], float)
+    return None if refused or not np.isfinite(value) else str(int(value))
 
 
 # Per text column: the FlowTable column it fills, the reason code of a row
@@ -372,19 +367,20 @@ def _timestamps(cells: Sequence[str]) -> tuple:
     return t_us, valid
 
 
-def _floats(cells: Sequence[str]) -> np.ndarray:
-    """float() of each cell, NaN where it refuses the cell or where
-    _is_number_text does: no column read this way accepts a NaN."""
-    values, rest = [], iter(cells)
+def _numbers(cells: Sequence[str], convert) -> tuple:
+    """(values, refused): the list of convert() of each cell, and per cell
+    whether convert or _is_number_text refuses it, its value then 0. Every
+    number cell of a capture or a feature file is read here."""
+    values, refused, rest = [], np.zeros(len(cells), bool), iter(cells)
     while len(values) < len(cells):
         try:
-            values.extend(map(float, rest))
+            values.extend(map(convert, rest))
         except ValueError:  # rest has moved past the refused cell
-            values.append(np.nan)
-    values = np.array(values, np.float64)
+            refused[len(values)] = True
+            values.append(0)
     if not _is_number_text("".join(cells)):
-        values[[not _is_number_text(c) for c in cells]] = np.nan
-    return values
+        refused |= [not _is_number_text(c) for c in cells]
+    return values, refused
 
 
 def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
@@ -393,10 +389,11 @@ def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
     valid row's values are those the rules give; the other rows' values
     are garbage."""
     t_us, stamped = _timestamps(cells["StartTime"])
-    out = {"t_us": t_us, "dur": _floats(cells["Dur"])}
+    dur, unread = _numbers(cells["Dur"], float)
+    out = {"t_us": t_us, "dur": np.array(dur, np.float64)}
     # (mask of the rows failing it, reason code), in order
     checks = [(~stamped, "bad_timestamp"),
-              (~np.isfinite(out["dur"]), "bad_duration"),
+              (unread | ~np.isfinite(out["dur"]), "bad_duration"),
               (out["dur"] < 0, "negative_duration")]
     refused = {}  # text column -> (mask of the rows it refuses, reason)
     for column, name, reason, rule in _CELL_RULES:
@@ -406,9 +403,10 @@ def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
     for name, column, noun, least in (("tot_pkts", "TotPkts", "packet", 1),
                                       ("tot_bytes", "TotBytes", "byte", 0),
                                       ("src_bytes", "SrcBytes", "byte", 0)):
+        counts, unread = _numbers(cells[column], float)
         # + 0.0 turns the -0.0 of trunc(-0.5) into int()'s 0
-        out[name] = np.trunc(_floats(cells[column])) + 0.0
-        checks += [(~np.isfinite(out[name]), f"bad_{noun}_count"),
+        out[name] = np.trunc(np.array(counts, np.float64)) + 0.0
+        checks += [(unread | ~np.isfinite(out[name]), f"bad_{noun}_count"),
                    (out[name] < 0, f"negative_{noun}_count"),
                    (out[name] < least, f"bad_{noun}_count")]
     checks += [(out["src_bytes"] > out["tot_bytes"],

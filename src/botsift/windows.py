@@ -6,6 +6,11 @@ becomes one 22-feature row: a flow count, unique-value counts and
 normalized entropies for the categorical columns (source port, destination
 address, destination port), and sum/mean/std/max/median for the numeric
 columns (duration, total bytes, source bytes).
+
+`write_features` and `load_features` write and read those rows as a CSV
+file. The reader decodes CHUNK_ROWS rows at a time, one column at a time,
+with the capture reader's `flows._chunk` and `flows._numbers`, so a
+capture and a feature file share one number rule.
 """
 
 from __future__ import annotations
@@ -13,14 +18,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import suppress
 from dataclasses import KW_ONLY, dataclass, replace
+from itertools import chain, compress
 from pathlib import Path
 from typing import Annotated, Iterable, Optional
 
 import numpy as np
 
 from .config import check
-from .flows import CHUNK_ROWS, FlowTable, _is_number_text
+from .flows import (CHUNK_ROWS, FlowTable, _UNREADABLE, _chunk,
+                    _is_utf8, _numbers)
 
 FEATURE_NAMES = (
     "counts",
@@ -261,53 +269,95 @@ def _csv_cell(text: str) -> str:
 
 
 def load_features(path) -> Dataset:
-    """Read a feature CSV written by write_features. A row with a cell
-    count other than the header's, a cell `flows._is_number_text` refuses,
-    a window index that is not an int64, a label other than 0 or 1, or a
-    non-finite feature is a ValueError naming its line."""
+    """Read a feature CSV written by write_features, as UTF-8, CHUNK_ROWS
+    rows at a time, one column at a time. A header without the three key
+    columns and a feature column, a file with no rows, or a row that fails
+    a check of _decode_rows is a ValueError; for a row, it names the file
+    line on which the first failing row starts."""
     path = Path(path)
-    scenario = None
-    header_lines = 1
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8",
+                   errors="surrogateescape") as handle:
         first = handle.readline()
-        if first.startswith("# scenario="):
-            scenario = first[len("# scenario="):].rstrip("\r\n")
-            first = handle.readline()
-            header_lines += 1
-        header = next(csv.reader([first]))
-        if header[:3] != ["window_index", "src_addr", "label"]:
-            raise ValueError(f"{path}: not a feature CSV")
-        names = header[3:]
-        keys, labels, rows, lines = [], [], [], []
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row:
-                continue
-            lines.append(header_lines + reader.line_num)
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, the header has "
-                                     f"{len(header)}")
-                # the joined cells pass the rule only if every cell does
-                if not _is_number_text(row[0] + row[2] + "".join(row[3:])):
-                    for cell in (row[0], row[2], *row[3:]):
-                        if not _is_number_text(cell):
-                            raise ValueError(f"{cell!r} is not a number")
-                keys.append((int(row[0]), row[1]))
-                if not -2**63 <= keys[-1][0] < 2**63:
-                    raise ValueError(f"window index {row[0]} is not an int64")
-                labels.append(int(row[2]))
-                if labels[-1] not in (0, 1):
-                    raise ValueError(f"label {row[2]} is not 0 or 1")
-                rows.append([float(v) for v in row[3:]])
-            except ValueError as exc:
-                raise ValueError(f"{path} line {lines[-1]}: {exc}") from None
-    if not rows:
+        skip = int(first.startswith("# scenario="))
+        if not skip:
+            handle.seek(0)
+        reader, header = csv.reader(handle), _UNREADABLE
+        with suppress(csv.Error):
+            header = next(reader, [])
+        if header[:3] != ["window_index", "src_addr", "label"] or len(
+                header) == 3:
+            raise ValueError(f"{path}: not a feature CSV (the header needs "
+                             "window_index,src_addr,label,<features>)")
+        # bytes that are not UTF-8 in line 1, else in the header after it
+        if not _is_utf8(first + "".join(header)):
+            raise ValueError(f"{path} line {1 + skip * _is_utf8(first)}: "
+                             f"{_NOT_UTF8}")
+        parts, line = [], skip + reader.line_num  # lines before a chunk
+        while rows := _chunk(reader):
+            part, fault = _decode_rows(rows, len(header))
+            if fault:
+                raise ValueError(f"{path} line {line + fault[0]}: "
+                                 f"{fault[1]}")
+            parts.append(part)
+            line = skip + reader.line_num
+    if not any(len(part[0]) for part in parts):
         raise ValueError(f"{path}: no feature rows")
-    rows = np.array(rows)
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        bad = lines[int(np.argmin(finite))]
-        raise ValueError(f"{path} line {bad}: non-finite feature value")
-    return Dataset(rows, np.array(labels), names, scenario=scenario,
-                   keys=np.array(keys, KEY))
+    keys, labels, values = (np.concatenate(c) for c in zip(*parts))
+    # rows in C order, as a per-row reader gives them: float reductions
+    # over a matrix can depend on its layout
+    return Dataset(np.ascontiguousarray(values), labels, header[3:], keys=keys,
+                   scenario=first.partition("=")[2].rstrip("\r\n")
+                   if skip else None)
+
+
+_NOT_UTF8 = "bytes that are not UTF-8"
+
+
+def _decode_rows(rows: list, width: int) -> tuple:
+    """(keys, labels, features) of a chunk of feature file rows, and, if a
+    row fails a check, (the line of the chunk on which the first such row
+    starts, the message of its first failing check), else None. A blank
+    line is no row. The checks, in order: bytes that are not UTF-8, a cell
+    longer than csv.field_size_limit(), a cell count other than width, a
+    number cell `flows._numbers` refuses, a window index outside int64, a
+    label other than 0 or 1, a non-finite feature."""
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    whole = np.flatnonzero(widths == width)
+    cells = list(zip(*map(rows.__getitem__, whole.tolist()))) or [()] * width
+    ints, refused_ints = _numbers(cells[0] + cells[2], int)
+    window, label = np.array(ints, object).reshape(2, -1)
+    values, refused = _numbers(list(chain.from_iterable(cells[3:])), float)
+    values = np.fromiter(values, float, len(values)).reshape(width - 3, -1).T
+    # per row, whether each of its number cells is refused, in file order
+    refused_cells = np.zeros((len(rows), width - 1), bool)
+    refused_cells[whole] = np.c_[refused_ints.reshape(2, -1).T,
+                                 refused.reshape(width - 3, -1).T]
+    # a source is the only cell not UTF-8 that no other check refuses
+    not_utf8 = (not _is_utf8("".join(cells[1]))
+                and ~np.fromiter(map(_is_utf8, cells[1]), bool, len(whole)))
+    fault = np.where(widths > 0, "{cells} cells, the header has {width}",
+                     "").astype(object)
+    fault[whole] = np.select(
+        [refused_cells[whole].any(axis=1),
+         (window < -2**63) | (window >= 2**63), (label != 0) & (label != 1),
+         ~np.isfinite(values).all(axis=1), not_utf8],
+        ["{number!r} is not a number", "window index {row[0]} is not an int64",
+         "label {row[2]} is not 0 or 1", "non-finite feature value",
+         _NOT_UTF8], "")
+    faulty = np.flatnonzero(fault != "")
+    if not len(faulty):
+        keys = np.empty(len(whole), KEY)
+        keys["window"], keys["source"] = window.astype(np.int64), cells[1]
+        return (keys, label.astype(np.int64), values), None
+    i = int(faulty[0])
+    row, message = rows[i], fault[i]
+    if row is _UNREADABLE:
+        message = "a cell longer than csv.field_size_limit()"
+    if not _is_utf8("".join(row)):
+        message = _NOT_UTF8
+    # each row before it ends a line, and a quoted cell may hold breaks
+    text = "\0".join(chain.from_iterable(rows[:i]))
+    line = i + 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
+    number = next(compress(row[:1] + row[2:], refused_cells[i]), None)
+    return None, (line, message.format(cells=len(row), width=width, row=row,
+                                       number=number))

@@ -1,7 +1,10 @@
 """Window assignment, entropy, feature extraction, and dataset plumbing."""
 
+import csv
+import io
 import json
 import math
+import random
 from dataclasses import replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -540,7 +543,69 @@ def test_load_features_reads_cells_with_outer_unicode_spaces(tmp_path):
     assert load_features(path).rows.tobytes() == ds.rows.tobytes()
 
 
-ONE_LINE = st.characters(exclude_characters="\r\n")
+HEADER = "window_index,src_addr,label,counts\n"
+
+
+def test_load_features_names_the_line_of_a_cell_too_long(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("# scenario=s\n" + HEADER + "0,a,1,3\n"
+                    + f"1,{'b' * (csv.field_size_limit() + 1)},0,4\n"
+                    + "2,c,0,5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 4: a cell longer than"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("data, line", [
+    (b"# scenario=s\xff\n" + HEADER.encode() + b"0,a,1,3\n", 1),
+    (b"# scenario=s\n" + HEADER[:-1].encode() + b",\xff\n0,a,1,3,4\n", 2),
+    (HEADER.encode() + b"0,a,1,3\n0,\xffb,1,3\n", 3),
+    (HEADER.encode() + b"0,a,1,3\n\n0,\"b\n\xff\",1,3\n", 4),
+    (HEADER.encode() + b"0,a,1,3\n0,b,1,3\xff\n", 3),
+    (HEADER.encode() + b"0,a,1,3\n0,b,1\xff\n", 3)])
+def test_load_features_names_the_line_of_bytes_that_are_not_utf8(
+        tmp_path, data, line):
+    # in a source, a number cell and a row of too few cells alike
+    path = tmp_path / "features.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError,
+                       match=rf"line {line}: bytes that are not UTF-8"):
+        load_features(path)
+
+
+@pytest.mark.parametrize("header", ["window_index,src_addr,label\n",
+                                    "window_index,src_addr,label\r\n"])
+def test_load_features_refuses_a_header_without_feature_columns(
+        tmp_path, header):
+    path = tmp_path / "features.csv"
+    path.write_text("# scenario=s\n" + header + "0,a,1\n1,b,0\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="not a feature CSV"):
+        load_features(path)
+    assert main(["select", str(path), "--method", "filter"]) == 1
+
+
+def test_load_features_names_lines_past_a_chunk_boundary(tmp_path):
+    # each row spans two lines and a blank line follows it: the first
+    # CHUNK_ROWS of them fill two chunks of csv rows
+    path = tmp_path / "features.csv"
+    path.write_text(HEADER + '0,"a\nb",1,3\n\n' * CHUNK_ROWS
+                    + "0,c,1,3\n0,d,1,x\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"line {3 * CHUNK_ROWS + 3}: "
+                                         "'x' is not a number"):
+        load_features(path)
+
+
+def test_load_features_names_the_first_failing_line(tmp_path):
+    # a non-finite feature is checked with every other check of its row
+    path = tmp_path / "features.csv"
+    path.write_text(HEADER + "0,a,1,3\n0,b,1,inf\n0,c\n0,d,2,1\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"line 3: non-finite"):
+        load_features(path)
+
+
+# a lone surrogate (category Cs) has no UTF-8 bytes, so no file holds it
+ONE_LINE = st.characters(exclude_characters="\r\n", exclude_categories=["Cs"])
 SOURCES = st.one_of(st.sampled_from(["?", "a,b", '"q"', "x\"y,z", "",
                                      "10.0.0.1", "ñ→ü"]),
                     st.text(ONE_LINE, max_size=8))
@@ -618,3 +683,100 @@ def test_writer_gives_the_bytes_of_the_per_row_writer(tmp_path_factory, ds):
     window_oracle.write_features(ds, folder / "per_row.csv")
     assert (folder / "chunked.csv").read_bytes() == (
         folder / "per_row.csv").read_bytes()
+
+
+# Cells both loaders read, and cells that make a row fail, per column.
+# NOT_UTF8 stands for a byte that is not UTF-8 in the written file.
+NOT_UTF8 = "\ue000"
+GOOD_CELLS = {
+    "window": ["0", "7", " 12 ", "+3", "-0", str(2**63 - 1), str(-2**63)],
+    "label": ["0", "1", " 1", "+0", "-0"],
+    "feature": ["0", "-0", "1.5", "2.5e-310", "1E3", " 4 ",
+                "\u00a01.5\u2003", "123456789012", "-9.87654321098e-05"],
+}
+BAD_CELLS = {
+    "window": ["1_0", "\u0661", "1.5", "abc", "inf", "", str(2**63),
+               str(-2**63 - 1), "9" * 30, NOT_UTF8],
+    "label": ["2", "-1", "1_0", "x", "1.0", "", "\u0661", NOT_UTF8],
+    "feature": ["1_0", "\u0661.5", "abc", "", "0x1", NOT_UTF8],
+    "non-finite": ["inf", "-inf", "nan", "1e999"],
+    "source": [f"a{NOT_UTF8}", f"\n{NOT_UTF8},"],
+}
+FILE_SOURCES = st.text(st.characters(exclude_characters=NOT_UTF8,
+                                     exclude_categories=["Cs"]),
+                       max_size=6) | st.sampled_from(
+    ["a,b", '"q"', "x\r\ny", "\n", "\r", "c,\nd", "ñ→ü", ""])
+
+
+@st.composite
+def feature_files(draw):
+    """(file bytes, file line on which the first faulty row starts or
+    None): rows of valid cells with blank lines, CRLF or LF line ends and
+    sources holding commas, quotes and line breaks, more than CHUNK_ROWS
+    of them at times, with faulty rows on both sides of a chunk
+    boundary."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 3))
+    n = rng.choice([1, 3, 40, CHUNK_ROWS + 2, 2 * CHUNK_ROWS + 3])
+    sources = draw(st.lists(FILE_SOURCES, min_size=1, max_size=5))
+    kinds = ["window", "label"] + ["feature"] * d
+    items = []  # a row's cells, or None for a blank line
+    for _ in range(n):
+        if rng.random() < 0.02:
+            items.append(None)
+        cells = [rng.choice(GOOD_CELLS[kind]) for kind in kinds]
+        items.append(cells[:1] + [rng.choice(sources)] + cells[1:])
+    near = list({i for i in (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
+                             rng.randrange(len(items)), len(items) - 1)
+                 if i < len(items) and items[i]})
+    faulty = sorted(rng.sample(near, min(len(near), rng.randint(0, 3))))
+    for i in faulty:
+        fault = rng.choice(["short", "long", "window", "label", "feature",
+                            "non-finite", "source"])
+        if fault == "short":
+            items[i] = items[i][:-1]
+        elif fault == "long":
+            items[i] = items[i] + ["0"]
+        else:
+            column = {"window": 0, "source": 1, "label": 2}.get(
+                fault, rng.randint(3, 2 + d))
+            items[i][column] = rng.choice(BAD_CELLS[fault])
+    scenario = draw(st.none() | st.text(st.characters(
+        exclude_characters="\r\n" + NOT_UTF8, exclude_categories=["Cs"]),
+        max_size=6))
+    text = "" if scenario is None else f"# scenario={scenario}\n"
+    text += "window_index,src_addr,label," + ",".join(
+        f"f{j}" for j in range(d)) + "\r\n"
+    first_line = None
+    for i, cells in enumerate(items):
+        if faulty and i == faulty[0]:
+            first_line = len(io.StringIO(text, newline="").readlines()) + 1
+        end = rng.choice(["\n", "\r\n"])
+        if cells is None:
+            text += end
+            continue
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(cells)
+        text += buffer.getvalue()[:-2] + end
+    return text.encode().replace(NOT_UTF8.encode(), b"\xff"), first_line
+
+
+@settings(deadline=None, max_examples=100)
+@given(feature_files())
+def test_loader_gives_the_dataset_of_the_per_row_loader(tmp_path_factory,
+                                                        file):
+    data, first_line = file
+    path = tmp_path_factory.mktemp("loaders") / "features.csv"
+    path.write_bytes(data)
+    if first_line is None:
+        loaded, oracle = load_features(path), window_oracle.load_features(path)
+        assert loaded.rows.tobytes() == oracle.rows.tobytes()
+        assert loaded.labels.tolist() == oracle.labels.tolist()
+        assert loaded.keys.tolist() == oracle.keys.tolist()
+        assert (loaded.scenario, loaded.feature_names) == (
+            oracle.scenario, oracle.feature_names)
+        return
+    with pytest.raises((ValueError, csv.Error)):
+        window_oracle.load_features(path)
+    with pytest.raises(ValueError, match=rf"line {first_line}: "):
+        load_features(path)

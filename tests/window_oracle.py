@@ -7,7 +7,9 @@ calls, its entropies with a scalar loop. Flows are read back from the
 table's columns as FlowRecords, and their offsets from the earliest
 start come from datetime arithmetic. The program's size-bucketed path
 must reproduce it bit for bit. `write_features` is the per-row writer
-that the program's chunked one must reproduce byte for byte.
+that the program's chunked one must reproduce byte for byte, and
+`load_features` the per-row reader whose datasets the program's
+columnar one must reproduce.
 """
 
 import csv
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 import flow_oracle
-from botsift.flows import ABSENT
+from botsift.flows import ABSENT, _is_number_text
 from botsift.windows import BOTNET_MARKER, FEATURE_NAMES, KEY, Dataset
 
 
@@ -101,3 +103,56 @@ def write_features(ds: Dataset, path):
                                                         ds.rows):
             writer.writerow([window_index, src_addr, int(label),
                              * ("%.12g" % v for v in row)])
+
+
+def load_features(path) -> Dataset:
+    """One csv row at a time: each cell tested by the capture reader's
+    number rule, then read by int() or float(). The first failing row
+    names its line, except that a non-finite feature is looked for only
+    once every row has been read."""
+    path = Path(path)
+    scenario = None
+    header_lines = 1
+    with path.open(newline="", encoding="utf-8") as handle:
+        first = handle.readline()
+        if first.startswith("# scenario="):
+            scenario = first[len("# scenario="):].rstrip("\r\n")
+            first = handle.readline()
+            header_lines += 1
+        header = next(csv.reader([first]))
+        if header[:3] != ["window_index", "src_addr", "label"]:
+            raise ValueError(f"{path}: not a feature CSV")
+        names = header[3:]
+        keys, labels, rows, lines = [], [], [], []
+        reader = csv.reader(handle)
+        for row in reader:
+            if not row:
+                continue
+            lines.append(header_lines + reader.line_num)
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has "
+                                     f"{len(header)}")
+                # the joined cells pass the rule only if every cell does
+                if not _is_number_text(row[0] + row[2] + "".join(row[3:])):
+                    for cell in (row[0], row[2], *row[3:]):
+                        if not _is_number_text(cell):
+                            raise ValueError(f"{cell!r} is not a number")
+                keys.append((int(row[0]), row[1]))
+                if not -2**63 <= keys[-1][0] < 2**63:
+                    raise ValueError(f"window index {row[0]} is not an int64")
+                labels.append(int(row[2]))
+                if labels[-1] not in (0, 1):
+                    raise ValueError(f"label {row[2]} is not 0 or 1")
+                rows.append([float(v) for v in row[3:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lines[-1]}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: no feature rows")
+    rows = np.array(rows)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        bad = lines[int(np.argmin(finite))]
+        raise ValueError(f"{path} line {bad}: non-finite feature value")
+    return Dataset(rows, np.array(labels), names, scenario=scenario,
+                   keys=np.array(keys, KEY))
