@@ -7,10 +7,9 @@ normalized entropies for the categorical columns (source port, destination
 address, destination port), and sum/mean/std/max/median for the numeric
 columns (duration, total bytes, source bytes).
 
-`write_features` and `load_features` write and read those rows as a CSV
-file. The reader decodes CHUNK_ROWS rows at a time, one column at a time,
-with the capture reader's `flows._chunk` and `flows._numbers`, so a
-capture and a feature file share one number rule.
+`write_features` and `load_features` write and read those rows as CSV;
+the reader decodes a chunk of rows one column at a time with the capture
+reader's `flows._chunk` and `flows._numbers`, its one number rule.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import io
 import math
 from contextlib import suppress
 from dataclasses import KW_ONLY, dataclass, replace
-from itertools import chain, compress
+from itertools import chain
 from pathlib import Path
 from typing import Annotated, Iterable, Optional
 
@@ -270,10 +269,9 @@ def _csv_cell(text: str) -> str:
 
 def load_features(path) -> Dataset:
     """Read a feature CSV written by write_features, as UTF-8, CHUNK_ROWS
-    rows at a time, one column at a time. A header without the three key
-    columns and a feature column, a file with no rows, or a row that fails
-    a check of _decode_rows is a ValueError; for a row, it names the file
-    line on which the first failing row starts."""
+    rows at a time, one column at a time. A header without the key columns
+    and a feature column, a file with no rows, or a row `_fault` refuses
+    is a ValueError; for a row, it names the line on which the row starts."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8",
                    errors="surrogateescape") as handle:
@@ -288,19 +286,14 @@ def load_features(path) -> Dataset:
                 header) == 3:
             raise ValueError(f"{path}: not a feature CSV (the header needs "
                              "window_index,src_addr,label,<features>)")
-        # bytes that are not UTF-8 in line 1, else in the header after it
-        if not _is_utf8(first + "".join(header)):
+        if not _is_utf8(first + "".join(header)):  # scenario line or header
             raise ValueError(f"{path} line {1 + skip * _is_utf8(first)}: "
-                             f"{_NOT_UTF8}")
+                             "bytes that are not UTF-8")
         parts, line = [], skip + reader.line_num  # lines before a chunk
         while rows := _chunk(reader):
-            part, fault = _decode_rows(rows, len(header))
-            if fault:
-                raise ValueError(f"{path} line {line + fault[0]}: "
-                                 f"{fault[1]}")
-            parts.append(part)
+            parts.append(_decode_rows(rows, len(header), f"{path} line", line))
             line = skip + reader.line_num
-    if not any(len(part[0]) for part in parts):
+    if not any(len(keys) for keys, _, _ in parts):
         raise ValueError(f"{path}: no feature rows")
     keys, labels, values = (np.concatenate(c) for c in zip(*parts))
     # rows in C order, as a per-row reader gives them: float reductions
@@ -310,54 +303,55 @@ def load_features(path) -> Dataset:
                    if skip else None)
 
 
-_NOT_UTF8 = "bytes that are not UTF-8"
-
-
-def _decode_rows(rows: list, width: int) -> tuple:
-    """(keys, labels, features) of a chunk of feature file rows, and, if a
-    row fails a check, (the line of the chunk on which the first such row
-    starts, the message of its first failing check), else None. A blank
-    line is no row. The checks, in order: bytes that are not UTF-8, a cell
-    longer than csv.field_size_limit(), a cell count other than width, a
-    number cell `flows._numbers` refuses, a window index outside int64, a
-    label other than 0 or 1, a non-finite feature."""
+def _decode_rows(rows: list, width: int, where: str, line: int) -> tuple:
+    """(keys, labels, features) of a chunk of rows after the file's first
+    `line` lines; a blank line is no row. The first row `_fault` refuses is
+    a ValueError naming `where` and the line on which the row starts."""
     widths = np.fromiter(map(len, rows), np.intp, len(rows))
     whole = np.flatnonzero(widths == width)
     cells = list(zip(*map(rows.__getitem__, whole.tolist()))) or [()] * width
-    ints, refused_ints = _numbers(cells[0] + cells[2], int)
+    ints, unread = _numbers(cells[0] + cells[2], int)
     window, label = np.array(ints, object).reshape(2, -1)
     values, refused = _numbers(list(chain.from_iterable(cells[3:])), float)
-    values = np.fromiter(values, float, len(values)).reshape(width - 3, -1).T
-    # per row, whether each of its number cells is refused, in file order
-    refused_cells = np.zeros((len(rows), width - 1), bool)
-    refused_cells[whole] = np.c_[refused_ints.reshape(2, -1).T,
-                                 refused.reshape(width - 3, -1).T]
+    values = np.array(values, float).reshape(width - 3, -1).T
+    faulty = (widths > 0) & (widths != width)
+    faulty[whole] = (unread.reshape(2, -1).any(axis=0)
+                     | refused.reshape(width - 3, -1).any(axis=0)
+                     | (window < -2**63) | (window >= 2**63)
+                     | (label != 0) & (label != 1)
+                     | ~np.isfinite(values).all(axis=1))
     # a source is the only cell not UTF-8 that no other check refuses
-    not_utf8 = (not _is_utf8("".join(cells[1]))
-                and ~np.fromiter(map(_is_utf8, cells[1]), bool, len(whole)))
-    fault = np.where(widths > 0, "{cells} cells, the header has {width}",
-                     "").astype(object)
-    fault[whole] = np.select(
-        [refused_cells[whole].any(axis=1),
-         (window < -2**63) | (window >= 2**63), (label != 0) & (label != 1),
-         ~np.isfinite(values).all(axis=1), not_utf8],
-        ["{number!r} is not a number", "window index {row[0]} is not an int64",
-         "label {row[2]} is not 0 or 1", "non-finite feature value",
-         _NOT_UTF8], "")
-    faulty = np.flatnonzero(fault != "")
-    if not len(faulty):
-        keys = np.empty(len(whole), KEY)
-        keys["window"], keys["source"] = window.astype(np.int64), cells[1]
-        return (keys, label.astype(np.int64), values), None
-    i = int(faulty[0])
-    row, message = rows[i], fault[i]
-    if row is _UNREADABLE:
-        message = "a cell longer than csv.field_size_limit()"
+    if not _is_utf8("".join(cells[1])):
+        faulty[whole] |= ~np.fromiter(map(_is_utf8, cells[1]), bool)
+    if faulty.any():
+        i = int(np.argmax(faulty))
+        # each row before it ends a line, and a quoted cell may hold breaks
+        text = "\0".join(chain.from_iterable(rows[:i]))
+        line += i + 1 + text.count("\n") + text.count("\r") - text.count(
+            "\r\n")
+        raise ValueError(f"{where} {line}: {_fault(rows[i], width)}")
+    keys = np.empty(len(whole), KEY)
+    keys["window"], keys["source"] = window.astype(np.int64), cells[1]
+    return keys, label.astype(np.int64), values
+
+
+def _fault(row: list, width: int) -> str:
+    """The first check a row fails, in the order of README "Feature files":
+    bytes that are not UTF-8, a cell longer than csv.field_size_limit(), a
+    cell count, a number cell, the window's int64 range, the label, a
+    non-finite feature."""
     if not _is_utf8("".join(row)):
-        message = _NOT_UTF8
-    # each row before it ends a line, and a quoted cell may hold breaks
-    text = "\0".join(chain.from_iterable(rows[:i]))
-    line = i + 1 + text.count("\n") + text.count("\r") - text.count("\r\n")
-    number = next(compress(row[:1] + row[2:], refused_cells[i]), None)
-    return None, (line, message.format(cells=len(row), width=width, row=row,
-                                       number=number))
+        return "bytes that are not UTF-8"
+    if row is _UNREADABLE:
+        return "a cell longer than csv.field_size_limit()"
+    if len(row) != width:
+        return f"{len(row)} cells, the header has {width}"
+    (window, label), unread = _numbers(row[:3:2], int)
+    refused = np.r_[unread, _numbers(row[3:], float)[1]]
+    if refused.any():
+        return f"{(row[:1] + row[2:])[np.argmax(refused)]!r} is not a number"
+    if not -2**63 <= window < 2**63:
+        return f"window index {row[0]} is not an int64"
+    if label not in (0, 1):
+        return f"label {row[2]} is not 0 or 1"
+    return "non-finite feature value"

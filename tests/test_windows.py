@@ -604,8 +604,7 @@ def test_load_features_names_the_first_failing_line(tmp_path):
         load_features(path)
 
 
-# a lone surrogate (category Cs) has no UTF-8 bytes, so no file holds it
-ONE_LINE = st.characters(exclude_characters="\r\n", exclude_categories=["Cs"])
+ONE_LINE = st.characters(exclude_characters="\r\n")
 SOURCES = st.one_of(st.sampled_from(["?", "a,b", '"q"', "x\"y,z", "",
                                      "10.0.0.1", "ñ→ü"]),
                     st.text(ONE_LINE, max_size=8))
@@ -722,7 +721,7 @@ def feature_files(draw):
     kinds = ["window", "label"] + ["feature"] * d
     items = []  # a row's cells, or None for a blank line
     for _ in range(n):
-        if rng.random() < 0.02:
+        if rng.random() < 0.05:
             items.append(None)
         cells = [rng.choice(GOOD_CELLS[kind]) for kind in kinds]
         items.append(cells[:1] + [rng.choice(sources)] + cells[1:])
