@@ -7,11 +7,11 @@ Label), then one flow per line. Parsing is total: every data row either
 becomes a flow of the columnar FlowTable or a counted rejection with a
 reason code.
 
-`load_scenario` decodes each chunk of rows one column at a time: the
-timestamp and number columns with numpy, the text columns by the rules of
-`_CELL_RULES`. This column decoder is the only producer of flow values,
-and it names each row it rejects itself, by the first of its checks that
-the row fails.
+`read_csv` opens every CSV file botsift reads, and gives its rows in
+chunks that name the file line a row starts on. `load_scenario` decodes a
+chunk one column at a time, timestamps and numbers with numpy and text by
+`_CELL_RULES`: the only producer of flow values, it gives a rejected row
+the reason code of the first check the row fails.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -45,8 +45,8 @@ CATEGORICAL_SUMMARY_COLUMNS = (
 # absent values in feature extraction).
 ABSENT = "∅"
 
-# Rows decoded together by load_scenario and windows.load_features: enough
-# to amortize a chunk's numpy calls, few enough that its cells take a few MiB.
+# Rows per chunk of read_csv, decoded together: enough to amortize a
+# chunk's numpy calls, few enough that its cells take a few MiB.
 CHUNK_ROWS = 2048
 
 _MAX_REJECTION_SAMPLES = 10
@@ -66,14 +66,8 @@ class ParseStats:
     accepted: int = 0
     rejected: int = 0
     reason_counts: Counter = field(default_factory=Counter)
-    # (1-based data row number, reason) for the first few rejections
+    # (file line the row starts on, reason) of the first few rejections
     samples: list = field(default_factory=list)
-
-    def record_rejection(self, row_number: int, reason: str):
-        self.rejected += 1
-        self.reason_counts[reason] += 1
-        if len(self.samples) < _MAX_REJECTION_SAMPLES:
-            self.samples.append((row_number, reason))
 
 
 @dataclass(frozen=True)
@@ -429,25 +423,61 @@ def _decode_columns(cells: dict, builder: _TableBuilder) -> tuple:
 _UNREADABLE = ["<unreadable>"]
 
 
-def _chunk(reader) -> list:
-    """The next CHUNK_ROWS rows of reader, fewer at its end, with
-    _UNREADABLE for each csv.Error. The reader resumes at the line after
-    the error; with the default dialect and Python 3.11 or later, the only
-    such error is a cell longer than csv.field_size_limit()."""
-    rows = []
-    while True:
+class _Chunk(list):
+    """The next CHUNK_ROWS rows of a csv reader, fewer at its end, after
+    `skip` file lines it does not see, with _UNREADABLE for each csv.Error:
+    on Python 3.11 or later only a cell longer than csv.field_size_limit()
+    raises one, and the reader resumes at the next line."""
+
+    def __init__(self, reader, skip: int):
+        self.before = skip + reader.line_num
+        self.ends = {}  # unreadable row's index -> the line it ends on
+        while True:
+            try:
+                self.extend(islice(reader, CHUNK_ROWS - len(self)))
+                break
+            except csv.Error:
+                self.ends[len(self)] = skip + reader.line_num
+                self.append(_UNREADABLE)
+        # a line a row, as reader.line_num shows: no line needs a count
+        lines = range(self.before + 1, skip + reader.line_num + 1)
+        self.starts = lines if len(lines) == len(self) else None
+
+    def line_of(self, i: int) -> int:
+        """The file line on which row i starts. A row ends a line, and its
+        cells may hold line breaks; a chunk's lines are counted once."""
+        if self.starts is None:
+            line, self.starts = self.before, []
+            for j, row in enumerate(self):
+                self.starts.append(line + 1)
+                text = "\0".join(row)
+                line = self.ends.get(j, line + 1 + text.count("\n")
+                                     + text.count("\r") - text.count("\r\n"))
+        return self.starts[i]
+
+
+def read_csv(path):
+    """Opens a capture or feature file as UTF-8, a byte that is not UTF-8
+    read as a lone surrogate. Yields the text after '# scenario=' on a
+    first line starting so (else None) with the header row, then each
+    _Chunk of rows. An empty file or an unreadable header is a ValueError."""
+    with Path(path).open(newline="", encoding="utf-8",
+                         errors="surrogateescape") as handle:
+        first = handle.readline()
+        skip = first.startswith("# scenario=")
+        reader = csv.reader(chain([] if skip else [first], handle))
         try:
-            rows.extend(islice(reader, CHUNK_ROWS - len(rows)))
-            return rows
-        except csv.Error:  # rows holds the rows before the error
-            rows.append(_UNREADABLE)
+            header = next(reader)
+        except (StopIteration, csv.Error):
+            raise ValueError(f"{path}: no readable header row") from None
+        yield first.partition("=")[2].rstrip("\r\n") if skip else None, header
+        while chunk := _Chunk(reader, skip):
+            yield chunk
 
 
-def _load_chunk(rows: list, first_row: int, header_map: dict,
-                builder: _TableBuilder, stats: ParseStats, name: str):
-    """Adds the accepted flows of up to CHUNK_ROWS consecutive data rows,
-    the first numbered first_row, to builder, and tallies the rest. A
-    blank line is no row."""
+def _load_chunk(rows: _Chunk, header_map: dict, builder: _TableBuilder,
+                stats: ParseStats, name: str):
+    """Adds a chunk's accepted flows to builder and tallies the rest."""
     last = max(header_map.values())
     width = np.fromiter(map(len, rows), np.intp, len(rows))
     short = np.flatnonzero((width > 0) & (width <= last))
@@ -466,41 +496,25 @@ def _load_chunk(rows: list, first_row: int, header_map: dict,
         stats.accepted += int(valid.sum())
         rejected.update(zip(whole[~valid].tolist(),
                             reasons[~valid].tolist()))
-    for i in sorted(rejected):
-        stats.record_rejection(first_row + i, rejected[i])
-        if stats.rejected <= _MAX_REJECTION_SAMPLES:
-            logger.warning("%s row %d rejected (%s)",
-                           name, first_row + i, rejected[i])
+    stats.rejected += len(rejected)
+    stats.reason_counts.update(rejected.values())
+    for i in sorted(rejected)[:_MAX_REJECTION_SAMPLES - len(stats.samples)]:
+        stats.samples.append((rows.line_of(i), rejected[i]))
+        logger.warning("%s line %d rejected (%s)", name, *stats.samples[-1])
 
 
 def load_scenario(path) -> FlowTable:
-    """Parse a binetflow CSV file, read as UTF-8, into a FlowTable.
-
-    Rows are decoded CHUNK_ROWS at a time, column by column; a rejected
-    row is counted under its reason code and its 1-based data row
-    number.
-
-    Fatal on a missing file or a header lacking any canonical column;
-    malformed data rows are counted and skipped.
-    """
+    """Parse a binetflow CSV file, read by read_csv, into a FlowTable; a
+    first line starting '# scenario=', as in a feature file, is ignored.
+    A rejected row is counted under its reason code, and the first few are
+    sampled and logged by the file line they start on. Fatal on a missing
+    or empty file and on a header unreadable or lacking a canonical column."""
     path = Path(path)
-    stats = ParseStats()
-    builder = _TableBuilder()
-    with path.open(newline="", encoding="utf-8",
-                   errors="surrogateescape") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        except csv.Error as exc:
-            raise ValueError(f"{path}: unreadable header row ({exc})")
-        header_map = build_header_map(header)
-        first_row = 1
-        while chunk := _chunk(reader):
-            _load_chunk(chunk, first_row, header_map, builder, stats,
-                        path.name)
-            first_row += len(chunk)
+    stats, builder = ParseStats(), _TableBuilder()
+    chunks = read_csv(path)
+    header_map = build_header_map(next(chunks)[1])
+    while rows := next(chunks, None):  # no chunk is kept through the table
+        _load_chunk(rows, header_map, builder, stats, path.name)
     return builder.table(str(path), stats)
 
 

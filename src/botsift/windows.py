@@ -8,8 +8,8 @@ address, destination port), and sum/mean/std/max/median for the numeric
 columns (duration, total bytes, source bytes).
 
 `write_features` and `load_features` write and read those rows as CSV;
-the reader decodes a chunk of rows one column at a time with the capture
-reader's `flows._chunk` and `flows._numbers`, its one number rule.
+the loader reads through `flows.read_csv`, as captures are read, and
+decodes a chunk one column at a time with the one number rule, `_numbers`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from contextlib import suppress
 from dataclasses import KW_ONLY, dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -26,8 +25,8 @@ from typing import Annotated, Iterable, Optional
 import numpy as np
 
 from .config import check
-from .flows import (CHUNK_ROWS, FlowTable, _UNREADABLE, _chunk,
-                    _is_utf8, _numbers)
+from .flows import (CHUNK_ROWS, FlowTable, _UNREADABLE, _is_utf8, _numbers,
+                    read_csv)
 
 FEATURE_NAMES = (
     "counts",
@@ -236,13 +235,17 @@ def write_features(ds: Dataset, path):
     """Feature CSV: window_index,src_addr,label,<feature columns>,
     preceded by a '# scenario=' comment when the dataset is named, in
     the csv module's bytes, each feature `%.12g`. A distinct value (by
-    its bits: -0.0 stays "-0") is formatted once, a source quoted once."""
+    its bits: -0.0 stays "-0") is formatted once, a source quoted once.
+    Text with no UTF-8 encoding is refused before the file is opened."""
     if ds.scenario and ("\n" in ds.scenario or "\r" in ds.scenario):
         raise ValueError(f"scenario {ds.scenario!r} holds a line break")
     keys = (ds.keys.tolist() if ds.keys is not None
             else [(i, "?") for i in range(ds.n)])
     labels = ds.labels.tolist()
-    quoted = {source: _csv_cell(source) for source in {s for _, s in keys}}
+    quoted = {s: _csv_cell(s) for s in dict.fromkeys(s for _, s in keys)}
+    if not _is_utf8((ds.scenario or "") + "".join(quoted)):
+        bad = next(t for t in (ds.scenario, *quoted) if not _is_utf8(t or ""))
+        raise ValueError(f"scenario or source {bad!r} is not UTF-8 text")
     bits, where = np.unique(ds.rows.ravel().view(np.uint64),
                             return_inverse=True)
     cells = np.array([",%.12g" % v for v in bits.view(float).tolist()],
@@ -268,45 +271,31 @@ def _csv_cell(text: str) -> str:
 
 
 def load_features(path) -> Dataset:
-    """Read a feature CSV written by write_features, as UTF-8, CHUNK_ROWS
-    rows at a time, one column at a time. A header without the key columns
-    and a feature column, a file with no rows, or a row `_fault` refuses
-    is a ValueError; for a row, it names the line on which the row starts."""
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8",
-                   errors="surrogateescape") as handle:
-        first = handle.readline()
-        skip = int(first.startswith("# scenario="))
-        if not skip:
-            handle.seek(0)
-        reader, header = csv.reader(handle), _UNREADABLE
-        with suppress(csv.Error):
-            header = next(reader, [])
-        if header[:3] != ["window_index", "src_addr", "label"] or len(
-                header) == 3:
-            raise ValueError(f"{path}: not a feature CSV (the header needs "
-                             "window_index,src_addr,label,<features>)")
-        if not _is_utf8(first + "".join(header)):  # scenario line or header
-            raise ValueError(f"{path} line {1 + skip * _is_utf8(first)}: "
-                             "bytes that are not UTF-8")
-        parts, line = [], skip + reader.line_num  # lines before a chunk
-        while rows := _chunk(reader):
-            parts.append(_decode_rows(rows, len(header), f"{path} line", line))
-            line = skip + reader.line_num
+    """Read a feature CSV written by write_features, through read_csv. A
+    header without the key columns and a feature column, a file with no
+    rows, or a row `_fault` refuses is a ValueError naming the row's line."""
+    chunks = read_csv(path)
+    scenario, header = next(chunks)
+    if header[:3] != ["window_index", "src_addr", "label"] or len(
+            header) == 3:
+        raise ValueError(f"{path}: not a feature CSV (the header needs "
+                         "window_index,src_addr,label,<features>)")
+    if not _is_utf8((scenario or "") + "".join(header)):
+        line = 1 + (scenario is not None and _is_utf8(scenario))
+        raise ValueError(f"{path} line {line}: bytes that are not UTF-8")
+    parts = [_decode_rows(chunk, len(header), path) for chunk in chunks]
     if not any(len(keys) for keys, _, _ in parts):
         raise ValueError(f"{path}: no feature rows")
     keys, labels, values = (np.concatenate(c) for c in zip(*parts))
     # rows in C order, as a per-row reader gives them: float reductions
     # over a matrix can depend on its layout
     return Dataset(np.ascontiguousarray(values), labels, header[3:], keys=keys,
-                   scenario=first.partition("=")[2].rstrip("\r\n")
-                   if skip else None)
+                   scenario=scenario)
 
 
-def _decode_rows(rows: list, width: int, where: str, line: int) -> tuple:
-    """(keys, labels, features) of a chunk of rows after the file's first
-    `line` lines; a blank line is no row. The first row `_fault` refuses is
-    a ValueError naming `where` and the line on which the row starts."""
+def _decode_rows(rows, width: int, path) -> tuple:
+    """(keys, labels, features) of a chunk of read_csv; a blank line is no
+    row. The first row `_fault` refuses is a ValueError naming its line."""
     widths = np.fromiter(map(len, rows), np.intp, len(rows))
     whole = np.flatnonzero(widths == width)
     cells = list(zip(*map(rows.__getitem__, whole.tolist()))) or [()] * width
@@ -325,11 +314,8 @@ def _decode_rows(rows: list, width: int, where: str, line: int) -> tuple:
         faulty[whole] |= ~np.fromiter(map(_is_utf8, cells[1]), bool)
     if faulty.any():
         i = int(np.argmax(faulty))
-        # each row before it ends a line, and a quoted cell may hold breaks
-        text = "\0".join(chain.from_iterable(rows[:i]))
-        line += i + 1 + text.count("\n") + text.count("\r") - text.count(
-            "\r\n")
-        raise ValueError(f"{where} {line}: {_fault(rows[i], width)}")
+        raise ValueError(f"{path} line {rows.line_of(i)}: "
+                         f"{_fault(rows[i], width)}")
     keys = np.empty(len(whole), KEY)
     keys["window"], keys["source"] = window.astype(np.int64), cells[1]
     return keys, label.astype(np.int64), values

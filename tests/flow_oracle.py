@@ -14,9 +14,10 @@ each start time from `t_us` with datetime arithmetic.
 `load` is the straightforward version of `botsift.flows.load_scenario`:
 every row of `csv.reader` goes through `parse_flow_record` on its own,
 and `table` turns the accepted records into a FlowTable column by column,
-with none of the program's table-building code. The program's column
-decoder must reproduce it: the same tally, the same sample rows and the
-same columns bit for bit.
+with none of the program's table-building code. A rejected row is named
+by the file line on which it starts, `csv.reader`'s count of the lines
+read before it plus one. The program's column decoder must reproduce it:
+the same tally, the same sample rows and the same columns bit for bit.
 """
 
 import csv
@@ -27,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from botsift.flows import (_CELL_RULES, ABSENT, FlowParseError, FlowTable,
-                           ParseStats, StringColumn, build_header_map,
-                           parse_timestamp)
+from botsift.flows import (_CELL_RULES, _MAX_REJECTION_SAMPLES, ABSENT,
+                           FlowParseError, FlowTable, ParseStats,
+                           StringColumn, build_header_map, parse_timestamp)
 
 OPTIONAL = ("sport", "dport", "state", "s_tos", "d_tos")
 TEXT = ("proto", "src_addr", "sport", "dir", "dst_addr", "dport", "state",
@@ -179,21 +180,27 @@ def table(records: Sequence[FlowRecord], source_path: str = None,
         source_path=source_path, parse_stats=stats)
 
 
+def record_rejection(stats: ParseStats, line: int, reason: str):
+    stats.rejected += 1
+    stats.reason_counts[reason] += 1
+    if len(stats.samples) < _MAX_REJECTION_SAMPLES:
+        stats.samples.append((line, reason))
+
+
 def load(path) -> FlowTable:
     records, stats = [], ParseStats()
     with open(path, newline="", encoding="utf-8",
               errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         header_map = build_header_map(next(reader))
-        row_number = 0
         while True:
+            line = reader.line_num + 1  # the file line the row starts on
             try:
                 row = next(reader)
             except StopIteration:
                 break
             except csv.Error:  # the reader goes on at the next line
                 row = None
-            row_number += 1
             if row == []:
                 continue
             try:
@@ -202,7 +209,7 @@ def load(path) -> FlowTable:
                 records.append(parse_flow_record(row, header_map))
                 stats.accepted += 1
             except FlowParseError as exc:
-                stats.record_rejection(row_number, exc.reason)
+                record_rejection(stats, line, exc.reason)
     return table(records, str(path), stats)
 
 

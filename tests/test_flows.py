@@ -2,6 +2,7 @@
 
 import csv
 import io
+import logging
 import math
 import tempfile
 from dataclasses import replace
@@ -64,7 +65,7 @@ def assert_load_rejects(path, row, reason):
     stats = load_scenario(path).parse_stats
     assert (stats.accepted, stats.rejected) == (0, 1)
     assert stats.reason_counts == {reason: 1}
-    assert stats.samples == [(1, reason)]
+    assert stats.samples == [(2, reason)]
 
 
 def test_parse_basic_row_maps_fields():
@@ -250,7 +251,7 @@ def test_numbers_with_separators_or_non_ascii_are_rejected(
     path = tmp_path / "numbers.csv"
     write_capture(path, [make_row(), make_row(**{column: cell})])
     stats = load_scenario(path).parse_stats
-    assert (stats.accepted, stats.samples) == (1, [(2, reason)])
+    assert (stats.accepted, stats.samples) == (1, [(3, reason)])
 
 
 @pytest.mark.parametrize("column,cell", [
@@ -296,7 +297,7 @@ def test_load_scenario_counts_a_cell_longer_than_the_csv_limit(tmp_path):
                          make_row()])
     stats = load_scenario(path).parse_stats
     assert (stats.accepted, stats.rejected) == (2, 1)
-    assert stats.samples == [(2, "cell_too_long")]
+    assert stats.samples == [(3, "cell_too_long")]
 
 
 def test_load_scenario_counts_bytes_that_are_not_utf8(tmp_path):
@@ -310,8 +311,53 @@ def test_load_scenario_counts_bytes_that_are_not_utf8(tmp_path):
                           make_row(Label="flow=Normal-\u00e9")])
     table = load_scenario(path)
     assert table.parse_stats.accepted == 2
-    assert table.parse_stats.samples == [(2, "bad_encoding")]
+    assert table.parse_stats.samples == [(3, "bad_encoding")]
     assert "flow=Normal-\u00e9" in table.label.values
+
+
+def test_load_scenario_names_the_file_line_of_a_rejected_row(tmp_path,
+                                                            caplog):
+    # a blank line 3 and a record on lines 4-5 come before the bad row
+    path = tmp_path / "lines.csv"
+    write_capture(path, [make_row(), [], make_row(Label="flow=a\nb"),
+                         make_row(Dur="abc")])
+    with caplog.at_level(logging.WARNING, logger="botsift.flows"):
+        stats = load_scenario(path).parse_stats
+    assert (stats.accepted, stats.samples) == (2, [(6, "bad_duration")])
+    assert caplog.messages == ["lines.csv line 6 rejected (bad_duration)"]
+
+
+def test_load_scenario_names_lines_after_an_unreadable_row(tmp_path):
+    # the quoted Label opens on line 3 and passes the csv limit on line 4,
+    # where the reader gives up: the next row starts on line 5
+    path = tmp_path / "long.csv"
+    label = "flow=" + "x" * 100_000 + "\n" + "x" * 100_000
+    write_capture(path, [make_row(), make_row(Label=label),
+                         make_row(Dur="abc"), make_row()])
+    stats = load_scenario(path).parse_stats
+    assert stats.accepted == 2
+    assert stats.samples == [(3, "cell_too_long"), (5, "bad_duration")]
+
+
+def test_load_scenario_names_lines_past_a_chunk_boundary(tmp_path):
+    # each row spans two lines and a blank line follows it: the first
+    # CHUNK_ROWS of them fill two chunks of csv rows
+    path = tmp_path / "capture.csv"
+    write_capture(path, [make_row(Label="flow=a\nb"), []] * CHUNK_ROWS
+                  + [make_row(), make_row(Dur="abc")])
+    stats = load_scenario(path).parse_stats
+    assert stats.samples == [(3 * CHUNK_ROWS + 3, "bad_duration")]
+
+
+def test_load_scenario_reads_and_ignores_a_scenario_line(tmp_path):
+    # a feature file's first line; the rows below it keep their file lines
+    path = tmp_path / "capture.csv"
+    write_capture(path, [make_row(), make_row(Dur="abc")])
+    plain = load_scenario(path)
+    path.write_bytes(b"# scenario=demo\n" + path.read_bytes())
+    named = load_scenario(path)
+    flow_oracle.assert_same_columns(named, plain)
+    assert named.parse_stats.samples == [(4, "bad_duration")]
 
 
 def test_write_flow_csv_writes_utf8(tmp_path):
@@ -396,8 +442,8 @@ def capture_text(header: list, kinds: list, extra: str, end: str) -> str:
             continue
         if kind == "row":
             cells.update(arg)
-        if kind == "long":
-            cells["Label"] = "flow=" + "x" * 140_000
+        if kind == "long":  # quoted, with a break before the csv limit
+            cells["Label"] = "flow=" + "x" * 100_000 + "\r\n" + "x" * 40_000
         row = [cells[name] for name in header]
         writer.writerow(row[:arg] if kind == "short" else row)
     return out.getvalue()

@@ -629,11 +629,53 @@ def keyed_datasets(draw):
                    keys=None if keys is None else np.array(keys, KEY))
 
 
+# a lone surrogate in a source or in the scenario: text with no UTF-8
+# encoding, which a Dataset may hold and a feature file may not
+LONE_SURROGATES = [
+    Dataset(np.zeros((1, 1)), [0], ["f0"], scenario="s",
+            keys=np.array([(0, "\ud800")], KEY)),
+    Dataset(np.zeros((1, 1)), [0], ["f0"], scenario="\udcff")]
+
+
+def has_utf8(ds) -> bool:
+    """Whether the scenario and every source of ds encode as UTF-8."""
+    sources = [] if ds.keys is None else ds.keys["source"].tolist()
+    try:
+        "".join([ds.scenario or "", *sources]).encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def assert_refused_unopened(ds, path):
+    with pytest.raises(ValueError, match="is not UTF-8 text"):
+        write_features(ds, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("ds", LONE_SURROGATES)
+def test_write_features_refuses_text_with_no_utf8_encoding(tmp_path, ds):
+    # refused before the file is opened: the file written before stays
+    path = tmp_path / "features.csv"
+    write_features(replace(ds, scenario="s", keys=None), path)
+    written = path.read_bytes()
+    with pytest.raises(ValueError, match="is not UTF-8 text") as refusal:
+        write_features(ds, path)
+    named = ds.scenario if ds.keys is None else ds.keys["source"][0]
+    assert repr(named) in str(refusal.value)
+    assert path.read_bytes() == written
+
+
 @settings(deadline=None, max_examples=150)
 @given(keyed_datasets(), st.data())
+@example(LONE_SURROGATES[0], None)
+@example(LONE_SURROGATES[1], None)
 def test_feature_file_round_trip_and_subset_lines(tmp_path_factory, ds,
                                                   data):
     path = tmp_path_factory.mktemp("typed") / "features.csv"
+    if not has_utf8(ds):
+        assert_refused_unopened(ds, path)
+        return
     write_features(ds, path)
     written = path.read_bytes()
     write_features(load_features(path), path)
@@ -676,8 +718,13 @@ def feature_datasets(draw):
 
 @settings(deadline=None, max_examples=100)
 @given(feature_datasets())
+@example(LONE_SURROGATES[0])
+@example(LONE_SURROGATES[1])
 def test_writer_gives_the_bytes_of_the_per_row_writer(tmp_path_factory, ds):
     folder = tmp_path_factory.mktemp("writers")
+    if not has_utf8(ds):
+        assert_refused_unopened(ds, folder / "chunked.csv")
+        return
     write_features(ds, folder / "chunked.csv")
     window_oracle.write_features(ds, folder / "per_row.csv")
     assert (folder / "chunked.csv").read_bytes() == (
