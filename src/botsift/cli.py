@@ -4,7 +4,10 @@ feature selection, and synthetic capture generation.
 
 Exit codes: 0 success, 2 usage error, 1 runtime error. Every run
 prints its full effective configuration, defaults and seeds included,
-so any report can be reproduced from its own header.
+so any report can be reproduced from its own header; `resolved_params`
+adds the hyperparameters of a model fit. Shared options are declared
+once, as parent parsers, and `report` prints and writes every table.
+`eval --model-file` refits an artifact's family and hyperparameters.
 
 botsift runs on one thread. The `threads` option is still accepted,
 and echoed in the configuration, but it is ignored. Model fits run with
@@ -14,6 +17,7 @@ one BLAS thread; scoring uses numpy's default BLAS thread pool.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -68,24 +72,29 @@ def echo_config(args: argparse.Namespace, extra: dict = None) -> None:
         print(f"  {key} = {extra[key]}")
 
 
-def resolved_params(family: str, hp_pairs, seed) -> object:
-    overrides = parse_hp(hp_pairs)
-    overrides.setdefault("seed", seed)
-    return make_params(family, overrides)
+def resolved_params(args: argparse.Namespace) -> object:
+    """--model's params from --hp and --seed, echoed with the config."""
+    overrides = parse_hp(args.hp)
+    overrides.setdefault("seed", args.seed)
+    hp = make_params(args.model, overrides)
+    echo_config(args, {"resolved_hyperparams": hp})
+    return hp
 
 
-def dataset_name(ds: windows.Dataset, path: str) -> str:
-    return ds.scenario or os.path.splitext(os.path.basename(path))[0]
+def load_named(path: str):
+    """A feature file and its name: its scenario, else its base name."""
+    ds = windows.load_features(path)
+    return ds, ds.scenario or os.path.splitext(os.path.basename(path))[0]
 
 
-def report(table: reports.Table, args, *lines) -> int:
-    """Prints table and lines, then writes the table to --out-csv if one
-    was given."""
+def report(table: reports.Table, args, *lines, write=None) -> int:
+    """Prints table and lines; given --out-csv, writes the table there, or
+    calls write(path) in its place."""
     print(table.to_text(), end="")
     for line in lines:
         print(line)
     if args.out_csv:
-        table.write_csv(args.out_csv)
+        (write or table.write_csv)(args.out_csv)
         print(f"wrote {args.out_csv}")
     return 0
 
@@ -128,8 +137,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_train(args) -> int:
-    hp = resolved_params(args.model, args.hp, args.seed)
-    echo_config(args, {"resolved_hyperparams": hp})
+    hp = resolved_params(args)
     ds = windows.load_features(args.features)
     artifact = train_model(args.model, ds, hp)
     artifact.save(args.out)
@@ -142,10 +150,9 @@ def cmd_eval(args) -> int:
     hp = make_params(artifact.family, dict(artifact.hyperparams))
     echo_config(args, {"family": artifact.family,
                        "resolved_hyperparams": hp})
-    ds = windows.load_features(args.features)
+    ds, name = load_named(args.features)
     rm = repeated_eval(ds, artifact.family, hp, args.runs, args.seed,
                        args.train_frac)
-    name = dataset_name(ds, args.features)
     title = (f"{artifact.family} on {name}: {args.runs} run(s), "
              f"train fraction {args.train_frac:g}, seed {args.seed}")
     return report(reports.eval_table(name, ds, rm, title), args)
@@ -157,8 +164,10 @@ def cmd_sweep(args) -> int:
         if "=" not in axis_text:
             raise ValueError(f"grid {axis_text!r} is not key=v1,v2,...")
         key, values = axis_text.split("=", 1)
-        grid_axes[key.replace("-", "_")] = [coerce_value(v)
-                                            for v in values.split(",")]
+        key = key.replace("-", "_")
+        if key in grid_axes:
+            raise ValueError(f"grid axis {key} is given twice")
+        grid_axes[key] = [coerce_value(v) for v in values.split(",")]
     points = [parse_hp(args.hp)]  # a grid axis overrides the same --hp key
     for key, values in grid_axes.items():
         points = [{**p, key: v} for p in points for v in values]
@@ -166,10 +175,10 @@ def cmd_sweep(args) -> int:
         p.setdefault("seed", args.seed)
         make_params(args.model, p)  # refuse a bad point before any read
     echo_config(args, {"grid_points": len(points)})
-    ds = windows.load_features(args.features)
+    ds, name = load_named(args.features)
     sweep = hyperparam_sweep(ds, args.model, points, args.runs,
                              args.seed, args.train_frac)
-    title = (f"sweep {args.model} on {dataset_name(ds, args.features)}: "
+    title = (f"sweep {args.model} on {name}: "
              f"{args.runs} run(s) per point, seed {args.seed}")
     lines = []
     if sweep.best is not None:
@@ -179,13 +188,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_crossscen(args) -> int:
-    hp = resolved_params(args.model, args.hp, args.seed)
-    echo_config(args, {"resolved_hyperparams": hp})
-    train_ds = windows.load_features(args.train)
-    test_ds = windows.load_features(args.test)
+    hp = resolved_params(args)
+    train_ds, train_name = load_named(args.train)
+    test_ds, test_name = load_named(args.test)
     metrics = cross_scenario_eval(train_ds, test_ds, args.model, hp)
-    train_name = dataset_name(train_ds, args.train)
-    test_name = dataset_name(test_ds, args.test)
     title = f"{args.model}: train on {train_name}, test on {test_name}"
     return report(reports.cross_scenario_table(train_name, test_name,
                                                test_ds, metrics, title),
@@ -193,10 +199,8 @@ def cmd_crossscen(args) -> int:
 
 
 def cmd_bootstrap_eval(args) -> int:
-    hp = resolved_params(args.model, args.hp, args.seed)
-    echo_config(args, {"resolved_hyperparams": hp})
-    ds = windows.load_features(args.features)
-    name = dataset_name(ds, args.features)
+    hp = resolved_params(args)
+    ds, name = load_named(args.features)
     rm = repeated_eval(ds, args.model, hp, args.runs, args.seed,
                        args.train_frac, bootstrap_factor=args.factor)
     title = (f"{args.model} on {name}: training data x{args.factor}, "
@@ -209,14 +213,12 @@ def cmd_select(args) -> int:
         raise ValueError("--corr-csv needs --method filter")
     if args.method == "importance" and args.model != "rf":
         raise ValueError("importance selection requires --model rf")
-    extra = {}
     if args.method in ("backward", "importance"):
-        hp = resolved_params(args.model, args.hp, args.seed)
-        extra["resolved_hyperparams"] = hp
-    echo_config(args, extra)
-    ds = windows.load_features(args.features)
-    name = dataset_name(ds, args.features)
-    lines = []
+        hp = resolved_params(args)
+    else:
+        echo_config(args)
+    ds, name = load_named(args.features)
+    lines, write = [], None
     if args.method == "filter":
         result = selection.filter_select(ds, args.threshold,
                                          args.redundancy)
@@ -232,13 +234,9 @@ def cmd_select(args) -> int:
                                                args.seed)
         table = reports.trace_table(
             trace, f"backward elimination on {name} with {args.model}")
-        print(table.to_text(), end="")
-        final = trace.steps[-1].feature_subset
-        print("final subset: " + " ".join(final))
-        if args.out_csv:
-            selection.write_trace_csv(trace, args.out_csv)
-            print(f"wrote {args.out_csv}")
-        return 0
+        lines.append("final subset: "
+                     + " ".join(trace.steps[-1].feature_subset))
+        write = functools.partial(selection.write_trace_csv, trace)
     elif args.method == "importance":
         artifact = train_model("rf", ds, hp)
         table = reports.importance_table(
@@ -248,7 +246,7 @@ def cmd_select(args) -> int:
     else:  # pca
         table = reports.pca_table(selection.pca(ds, args.k),
                                   f"pca on {name}: top {args.k} components")
-    return report(table, args, *lines)
+    return report(table, args, *lines, write=write)
 
 
 def cmd_synth(args) -> int:
@@ -269,96 +267,86 @@ def build_parser() -> argparse.ArgumentParser:
                     "NetFlow captures")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model_flag=True, seed=True):
-        if model_flag:
-            p.add_argument("--model", choices=FAMILIES, default="rf")
-            p.add_argument("--hp", action="append", metavar="KEY=VALUE",
-                           help="hyperparameter override, repeatable")
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1,
-                       help="has no effect: botsift runs on one thread")
+    def group(*flags, **kwargs):
+        """A parent parser declaring one option that commands share."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
 
-    p = sub.add_parser("summarize", help="ingest a capture and print "
-                                         "per-column statistics")
+    def runs(default):
+        # one per command: set_defaults on a shared parent's --runs
+        # would change the --runs default of every command using it
+        parent = group("--runs", type=int, default=default)
+        parent.add_argument("--train-frac", type=float, default=2.0 / 3.0)
+        return parent
+
+    features = group("features")
+    out = group("-o", "--out", required=True)
+    out_csv = group("--out-csv", default=None)
+    seed = group("--seed", type=int, default=DEFAULT_SEED)
+    threads = group("--threads", type=int, default=1,
+                    help="has no effect: botsift runs on one thread")
+    model = group("--model", choices=FAMILIES, default="rf")
+    model.add_argument("--hp", action="append", metavar="KEY=VALUE",
+                       help="hyperparameter override, repeatable")
+    fitting = [model, seed, threads]
+
+    def command(name, func, parents, summary):
+        p = sub.add_parser(name, parents=parents, help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("summarize", cmd_summarize, [],
+                "ingest a capture and print per-column statistics")
     p.add_argument("flows")
-    p.set_defaults(func=cmd_summarize)
 
-    p = sub.add_parser("extract", help="aggregate flows into "
-                                       "per-source window features")
+    p = command("extract", cmd_extract, [out],
+                "aggregate flows into per-source window features")
     p.add_argument("flows")
     p.add_argument("--width", type=float, default=120.0)
     p.add_argument("--stride", type=float, default=60.0)
     p.add_argument("--scenario", default=None,
                    help="capture name stored in the feature file")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train one model on a feature file")
-    p.add_argument("features")
-    add_common(p)
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_train)
+    command("train", cmd_train, [features, *fitting, out],
+            "train one model on a feature file")
 
-    p = sub.add_parser("eval", help="repeated split/train/test runs "
-                                    "from a saved model's settings")
-    p.add_argument("features")
+    p = command("eval", cmd_eval,
+                [features, runs(1), seed, threads, out_csv],
+                "repeated split/train/test runs from a saved model's "
+                "settings")
     p.add_argument("--model-file", required=True)
-    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
-    p.add_argument("--runs", type=int, default=1)
-    add_common(p, model_flag=False)
-    p.add_argument("--out-csv", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="grid search with repeated "
-                                     "evaluation per point")
-    p.add_argument("features")
-    add_common(p)
+    p = command("sweep", cmd_sweep,
+                [features, *fitting, runs(3), out_csv],
+                "grid search with repeated evaluation per point")
     p.add_argument("--grid", action="append", required=True,
                    metavar="KEY=V1,V2,...")
-    p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
-    p.add_argument("--out-csv", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("crossscen", help="train on one capture, test "
-                                         "on another")
+    p = command("crossscen", cmd_crossscen, [*fitting, out_csv],
+                "train on one capture, test on another")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    add_common(p)
-    p.add_argument("--out-csv", default=None)
-    p.set_defaults(func=cmd_crossscen)
 
-    p = sub.add_parser("bootstrap-eval", help="repeated evaluation with "
-                                              "bootstrap-enlarged "
-                                              "training data")
-    p.add_argument("features")
+    p = command("bootstrap-eval", cmd_bootstrap_eval,
+                [features, *fitting, runs(10), out_csv],
+                "repeated evaluation with bootstrap-enlarged training data")
     p.add_argument("--factor", type=int, required=True)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--train-frac", type=float, default=2.0 / 3.0)
-    add_common(p)
-    p.add_argument("--out-csv", default=None)
-    p.set_defaults(func=cmd_bootstrap_eval)
 
-    p = sub.add_parser("select", help="feature-selection studies")
-    p.add_argument("features")
+    p = command("select", cmd_select, [features, *fitting, out_csv],
+                "feature-selection studies")
     p.add_argument("--method", required=True,
                    choices=("filter", "backward", "importance", "pca"))
     p.add_argument("--threshold", type=float, default=0.1)
     p.add_argument("--redundancy", type=float, default=0.95)
     p.add_argument("--k", type=int, default=2,
                    help="component count for --method pca")
-    add_common(p)
-    p.add_argument("--out-csv", default=None)
     p.add_argument("--corr-csv", default=None,
                    help="tidy correlation matrix output (filter only)")
-    p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("synth", help="generate a synthetic capture")
+    p = command("synth", cmd_synth, [threads, out],
+                "generate a synthetic capture")
     p.add_argument("--config", required=True)
-    p.add_argument("-o", "--out", required=True)
-    add_common(p, model_flag=False, seed=False)
-    p.set_defaults(func=cmd_synth)
 
     return parser
 

@@ -7,11 +7,12 @@ A field's annotation is its rule. `int` takes a Python or numpy integer,
 `float` also an int, which stays an int, but neither takes a bool or NaN.
 `Literal`, `Sequence`, `Optional` and `Union` read as in `typing`, and
 `Annotated[int, "[1, inf)"]`, such as `Count` or `Seed`, adds a range as
-text.
+text. `read_json_object` reads the JSON files that hold a record.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
 from numbers import Integral, Real
 from typing import (Annotated, Literal, Union, get_args, get_origin,
@@ -34,6 +35,18 @@ def build(cls, values: dict):
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
     return cls(**values)
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the UTF-8 file at path, refusing any other."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    return doc
 
 
 def check(record) -> None:

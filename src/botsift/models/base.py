@@ -9,6 +9,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..config import read_json_object
 from . import trees
 
 ARTIFACT_FORMAT_VERSION = 2
@@ -46,12 +47,22 @@ class ModelArtifact:
 
 
 def load_artifact(path) -> ModelArtifact:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version")
-    if version not in (1, ARTIFACT_FORMAT_VERSION):
-        raise ValueError(f"unsupported artifact format_version: {version}")
+    doc = read_json_object(path)
+    for name in ("format_version", "family", "hyperparams", "feature_names",
+                 "standardization", "parameters"):
+        if name not in doc:
+            raise ValueError(f"{path}: artifact has no {name} field")
+    version = doc["format_version"]
+    if type(version) is not int or version not in (1, ARTIFACT_FORMAT_VERSION):
+        raise ValueError(f"{path}: unsupported artifact format_version: "
+                         f"{version}")
     if doc["family"] in ("rf", "gboost"):
-        forest = doc["parameters"]["trees"]
+        parameters = doc["parameters"]
+        if not (isinstance(parameters, dict)
+                and isinstance(parameters.get("trees"), list)):
+            raise ValueError(f"{path}: {doc['family']} artifact has no "
+                             "parameters.trees list")
+        forest = parameters["trees"]
         if version == 1:  # version 1 stored each tree as nested dicts
             forest[:] = map(trees.from_v1, forest)
         for i, tree in enumerate(forest):

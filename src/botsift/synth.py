@@ -10,14 +10,13 @@ the botnet label.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Annotated, Literal
 
 import numpy as np
 
-from .config import Count, Seed, build, check
+from .config import Count, Seed, build, check, read_json_object
 from .flows import ABSENT, FlowTable, StringColumn, micros
 
 BASE_TIME = datetime(2011, 8, 10, 9, 0, 0)
@@ -48,8 +47,7 @@ class SynthConfig:
 
 
 def load_synth_config(path) -> SynthConfig:
-    with open(path, encoding="utf-8") as fh:
-        return build(SynthConfig, json.load(fh))
+    return build(SynthConfig, read_json_object(path))
 
 
 # A flow is a tuple of its FlowTable values in field order: t_us, dur,

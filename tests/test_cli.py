@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import botsift
-from botsift.cli import coerce_value, main, parse_hp
+from botsift.cli import build_parser, coerce_value, main, parse_hp
 from botsift.flows import (CANONICAL_COLUMNS, CATEGORICAL_SUMMARY_COLUMNS,
                            NUMERIC_SUMMARY_COLUMNS, write_flow_csv)
 from botsift.models import FAMILIES, load_artifact
@@ -313,6 +314,20 @@ class TestEval:
         # repeated runs report mean and spread
         assert "±" in rows[1][-1]
 
+    @pytest.mark.parametrize("text,field", [
+        ("[1]", "not a JSON object"), ("not json", "not a JSON file"),
+        ('{"format_version": 2}', "no family field"),
+    ])
+    def test_a_bad_model_file_is_refused(self, features_csv, tmp_path,
+                                         capsys, text, field):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(text, encoding="utf-8")
+        assert main(["eval", str(features_csv),
+                     "--model-file", str(model_path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_naming(captured, f"{model_path}: ")
+        assert field in captured.err
+
     def test_files_are_utf8_under_an_ascii_locale(self, flows_csv,
                                                   tmp_path):
         # a C locale without UTF-8 mode makes ASCII the default encoding
@@ -396,6 +411,19 @@ class TestSweep:
         captured = capsys.readouterr()
         assert_one_error_naming(captured, "n_trees")
         assert "missing.csv" not in captured.err
+
+    @pytest.mark.parametrize("grid", [["c=1,10", "c=100"],
+                                      ["n-trees=2", "n_trees=3"]])
+    def test_an_axis_given_twice_is_refused(self, tmp_path, capsys, grid):
+        axis = grid[0].split("=")[0].replace("-", "_")
+        out_path = tmp_path / "sweep.csv"
+        assert main(["sweep", str(tmp_path / "missing.csv"),
+                     "--grid", grid[0], "--grid", grid[1],
+                     "--out-csv", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert_one_error_naming(captured, f"grid axis {axis} ")
+        assert "missing.csv" not in captured.err
+        assert not out_path.exists()
 
     def test_bad_grid_is_runtime_error(self, features_csv, capsys):
         assert main(["sweep", str(features_csv), "--grid", "n_trees"]) == 1
@@ -546,6 +574,18 @@ class TestSynth:
                      "-o", str(tmp_path / "x.csv")]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null", "3",
+                                      '{"seed": '])
+    def test_config_that_is_no_json_object_is_refused(self, tmp_path,
+                                                      capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text, encoding="utf-8")
+        out_path = tmp_path / "synth.csv"
+        assert main(["synth", "--config", str(cfg_path),
+                     "-o", str(out_path)]) == 1
+        assert_one_error_naming(capsys.readouterr(), f"{cfg_path}: not a")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("name", fields_taking(SynthConfig, int))
     @pytest.mark.parametrize("value", [2.5, True])
     def test_int_config_value_refuses_non_integers(self, tmp_path, capsys,
@@ -578,3 +618,122 @@ def test_negative_seed_is_refused(tiny_features_csv, tmp_path, capsys, argv):
                 + ["--seed", "-3"]) == 1
     assert_seed_refused(capsys.readouterr(), -3)
     assert not paths["OUT"].exists()
+
+
+# Every subcommand's options, pinned: (option strings, dest, action, type,
+# default, choices, metavar, required, help); a positional has no option
+# strings. Their order in --help is free.
+FEATURES = ((), "features", "store", None, None, None, None, True, None)
+FLOWS = ((), "flows", "store", None, None, None, None, True, None)
+OUT = (("-o", "--out"), "out", "store", None, None, None, None, True, None)
+OUT_CSV = (("--out-csv",), "out_csv", "store", None, None, None, None,
+           False, None)
+SEED = (("--seed",), "seed", "store", "int", 42, None, None, False, None)
+THREADS = (("--threads",), "threads", "store", "int", 1, None, None, False,
+           "has no effect: botsift runs on one thread")
+FITTING = [
+    (("--model",), "model", "store", None, "rf",
+     ("logreg", "svm", "rf", "gboost", "nn"), None, False, None),
+    (("--hp",), "hp", "append", None, None, None, "KEY=VALUE", False,
+     "hyperparameter override, repeatable"),
+    SEED, THREADS]
+TRAIN_FRAC = (("--train-frac",), "train_frac", "store", "float", 2.0 / 3.0,
+              None, None, False, None)
+
+
+def runs(default):
+    return (("--runs",), "runs", "store", "int", default, None, None, False,
+            None)
+
+
+OPTIONS = {
+    "summarize": ("ingest a capture and print per-column statistics",
+                  [FLOWS]),
+    "extract": ("aggregate flows into per-source window features", [
+        FLOWS, OUT,
+        (("--width",), "width", "store", "float", 120.0, None, None, False,
+         None),
+        (("--stride",), "stride", "store", "float", 60.0, None, None, False,
+         None),
+        (("--scenario",), "scenario", "store", None, None, None, None,
+         False, "capture name stored in the feature file")]),
+    "train": ("train one model on a feature file",
+              [FEATURES, *FITTING, OUT]),
+    "eval": ("repeated split/train/test runs from a saved model's settings", [
+        FEATURES, runs(1), TRAIN_FRAC, SEED, THREADS, OUT_CSV,
+        (("--model-file",), "model_file", "store", None, None, None, None,
+         True, None)]),
+    "sweep": ("grid search with repeated evaluation per point", [
+        FEATURES, *FITTING, runs(3), TRAIN_FRAC, OUT_CSV,
+        (("--grid",), "grid", "append", None, None, None, "KEY=V1,V2,...",
+         True, None)]),
+    "crossscen": ("train on one capture, test on another", [
+        *FITTING, OUT_CSV,
+        (("--train",), "train", "store", None, None, None, None, True, None),
+        (("--test",), "test", "store", None, None, None, None, True, None)]),
+    "bootstrap-eval": (
+        "repeated evaluation with bootstrap-enlarged training data", [
+            FEATURES, *FITTING, runs(10), TRAIN_FRAC, OUT_CSV,
+            (("--factor",), "factor", "store", "int", None, None, None, True,
+             None)]),
+    "select": ("feature-selection studies", [
+        FEATURES, *FITTING, OUT_CSV,
+        (("--method",), "method", "store", None, None,
+         ("filter", "backward", "importance", "pca"), None, True, None),
+        (("--threshold",), "threshold", "store", "float", 0.1, None, None,
+         False, None),
+        (("--redundancy",), "redundancy", "store", "float", 0.95, None, None,
+         False, None),
+        (("--k",), "k", "store", "int", 2, None, None, False,
+         "component count for --method pca"),
+        (("--corr-csv",), "corr_csv", "store", None, None, None, None, False,
+         "tidy correlation matrix output (filter only)")]),
+    "synth": ("generate a synthetic capture", [
+        THREADS, OUT,
+        (("--config",), "config", "store", None, None, None, None, True,
+         None)]),
+}
+
+
+def subcommands():
+    return next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def test_subcommands_and_their_summaries_are_pinned():
+    assert {action.dest: action.help
+            for action in subcommands()._choices_actions} == {
+        name: summary for name, (summary, _) in OPTIONS.items()}
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_subcommand_options_are_pinned(command):
+    def describe(action):
+        kind = type(action).__name__.strip("_").replace("Action", "")
+        choices = None if action.choices is None else tuple(action.choices)
+        return (tuple(action.option_strings), action.dest, kind.lower(),
+                getattr(action.type, "__name__", action.type),
+                action.default, choices, action.metavar, action.required,
+                action.help)
+
+    parser = subcommands().choices[command]
+    assert {describe(action) for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)} == set(
+                OPTIONS[command][1])
+
+
+@pytest.mark.parametrize("command", sorted(OPTIONS))
+def test_each_subcommand_parses_to_its_own_defaults(command):
+    # an option that several commands share must still take each
+    # command's own default, as --runs does
+    options = OPTIONS[command][1]
+    argv = [command]
+    for flags, _, _, _, _, choices, _, required, _ in options:
+        if required:
+            argv += [*flags[-1:], choices[0] if choices else "1"]
+    values = vars(build_parser().parse_args(argv))
+    assert values.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+    assert values.pop("command") == command
+    assert set(values) == {option[1] for option in options}
+    for _, dest, _, _, default, _, _, required, _ in options:
+        assert required or values[dest] == default, dest

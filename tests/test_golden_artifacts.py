@@ -123,6 +123,54 @@ def test_unknown_format_version_is_rejected(tmp_path):
         load_artifact(path)
 
 
+def refusal(tmp_path, text) -> str:
+    """load_artifact's message for a file holding text; it names the
+    file first."""
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_artifact(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1]", "not a JSON object"), ("{", "not a JSON file"),
+    ('{"format_version": 2}', "no family field"),
+], ids=["list", "truncated", "version-only"])
+def test_a_document_that_is_no_artifact_is_refused(tmp_path, text,
+                                                    message):
+    assert message in refusal(tmp_path, text)
+
+
+@pytest.mark.parametrize("name", ["format_version", "family", "hyperparams",
+                                  "feature_names", "standardization",
+                                  "parameters"])
+def test_every_envelope_field_is_required(tmp_path, name):
+    doc = json.loads((DATA / "golden_v2_rf_x10.json").read_text())
+    del doc[name]
+    assert f"no {name} field" in refusal(tmp_path, json.dumps(doc))
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "2"])
+def test_a_format_version_must_be_an_integer(tmp_path, version):
+    # true == 1, so it would read version 2 trees as version 1 ones
+    doc = json.loads((DATA / "golden_v2_rf_x10.json").read_text())
+    doc["format_version"] = version
+    assert "format_version" in refusal(tmp_path, json.dumps(doc))
+
+
+@pytest.mark.parametrize("parameters", [{"feature_importances": []},
+                                        {"trees": 3}, {"trees": {}}, []],
+                         ids=["no-trees", "number", "object", "list"])
+@pytest.mark.parametrize("name", ["golden_v2_rf_x10",
+                                  "golden_v2_gboost_deviance_x10"])
+def test_a_tree_model_needs_a_trees_list(tmp_path, name, parameters):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    doc["parameters"] = parameters
+    assert "no parameters.trees list" in refusal(tmp_path, json.dumps(doc))
+
+
 # a value other than the default in every field of each family's params
 NON_DEFAULT = {
     "logreg": LogRegParams(c=2.0, weight_negative=0.5, weight_positive=2.0,
