@@ -58,7 +58,10 @@ def parse_hp(pairs) -> dict:
         if "=" not in pair:
             raise ValueError(f"hyperparameter {pair!r} is not key=value")
         key, value = pair.split("=", 1)
-        out[key.replace("-", "_")] = coerce_value(value)
+        key = key.replace("-", "_")
+        if key in out:
+            raise ValueError(f"hyperparameter {key} is given twice")
+        out[key] = coerce_value(value)
     return out
 
 

@@ -1,5 +1,9 @@
 """Metrics, dataset splits, repeated-run statistics, bootstrap
-augmentation, hyperparameter sweeps, and cross-scenario evaluation."""
+augmentation, hyperparameter sweeps, and cross-scenario evaluation.
+
+Confusion counts are integers and may weight each row (`prf1`'s
+`counts`), so the training metrics of a bootstrap run of a family that
+scores each row on its own come from its distinct training rows."""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from typing import Annotated, Optional, Sequence
 import numpy as np
 
 from .config import Count, Seed, require
-from .models import make_params, predict, train_model
+from .models import FAMILIES, make_params, predict, train_model
 from .windows import Dataset
 
 METRIC_KEYS = ("precision", "recall", "f1")
@@ -31,18 +35,20 @@ class Metrics:
         return self.tp + self.fp + self.fn + self.tn
 
 
-def prf1(y_true, y_pred) -> Metrics:
-    """Precision/recall/f1 from integer confusion counts; every 0/0
-    ratio is defined as 0."""
+def prf1(y_true, y_pred, counts=None) -> Metrics:
+    """Precision/recall/f1 from integer confusion counts, row i counted
+    counts[i] times (default once); every 0/0 ratio is defined as 0."""
     y_true = np.asarray(y_true, dtype=int)
     y_pred = np.asarray(y_pred, dtype=int)
-    if y_true.shape != y_pred.shape:
-        raise ValueError("y_true and y_pred must have equal length")
+    counts = (np.ones(y_true.shape, dtype=np.int64) if counts is None
+              else np.asarray(counts, dtype=np.int64))
+    if not y_true.shape == y_pred.shape == counts.shape:
+        raise ValueError("y_true, y_pred and counts must have equal length")
 
-    tp = int(np.sum((y_true == 1) & (y_pred == 1)))
-    fp = int(np.sum((y_true == 0) & (y_pred == 1)))
-    fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    tn = int(np.sum((y_true == 0) & (y_pred == 0)))
+    tp = int(counts[(y_true == 1) & (y_pred == 1)].sum())
+    fp = int(counts[(y_true == 0) & (y_pred == 1)].sum())
+    fn = int(counts[(y_true == 1) & (y_pred == 0)].sum())
+    tn = int(counts[(y_true == 0) & (y_pred == 0)].sum())
 
     precision = tp / (tp + fp) if tp + fp > 0 else 0.0
     recall = tp / (tp + fn) if tp + fn > 0 else 0.0
@@ -66,13 +72,17 @@ def split_dataset(ds: Dataset, train_frac: float, seed: int):
     return ds.subset(train_idx), ds.subset(test_idx)
 
 
+def bootstrap_draw(n: int, factor: int, seed: int) -> np.ndarray:
+    """The row numbers of factor * n draws, uniform with replacement,
+    from n rows."""
+    require("factor", factor, Count)
+    return np.random.default_rng(seed).integers(0, n, size=int(factor) * n)
+
+
 def bootstrap_resample(train: Dataset, factor: int, seed: int) -> Dataset:
     """factor * n rows drawn uniformly with replacement from the
     training data. Test data is never resampled."""
-    require("factor", factor, Count)
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, train.n, size=int(factor) * train.n)
-    return train.subset(idx)
+    return train.subset(bootstrap_draw(train.n, factor, seed))
 
 
 @dataclass
@@ -95,16 +105,27 @@ def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
     """One split/train/evaluate pass; returns (train Metrics,
     test Metrics, artifact). Training metrics describe the data the
     model was actually fit to (the resampled set when bootstrapping);
-    factor 1 fits the split's training rows as they are."""
+    factor 1 fits the split's training rows as they are.
+
+    A resample repeats the split's training rows. A family whose score
+    of a row does not depend on the other rows scored with it (rf,
+    gboost) scores each of those rows once, and the confusion counts
+    weight it by the number of times it was drawn: the same integers as
+    a scoring of the whole resample."""
     require("bootstrap_factor", bootstrap_factor, Count)
     train, test = split_dataset(ds, train_frac, split_seed)
+    fit_on, counts = train, None
     if bootstrap_factor != 1:
-        train = bootstrap_resample(train, bootstrap_factor, split_seed)
-    artifact = train_model(family, train, hp)
-    _, train_pred = predict(artifact, train.rows)
+        fit_on = bootstrap_resample(train, bootstrap_factor, split_seed)
+        if FAMILIES[family].per_row:
+            counts = np.bincount(bootstrap_draw(train.n, bootstrap_factor,
+                                                split_seed), minlength=train.n)
+    artifact = train_model(family, fit_on, hp)
+    scored = train if counts is not None else fit_on
+    _, train_pred = predict(artifact, scored.rows)
     _, test_pred = predict(artifact, test.rows)
-    return (prf1(train.labels, train_pred), prf1(test.labels, test_pred),
-            artifact)
+    return (prf1(scored.labels, train_pred, counts),
+            prf1(test.labels, test_pred), artifact)
 
 
 def repeated_eval(ds: Dataset, family: str, hp, n_runs: int, seed: int,

@@ -1,10 +1,11 @@
 """Model families behind a single train/predict contract.
 
 `FAMILIES` maps each family tag to its params class, its `fit` and
-`score`, whether its rows are standardized and whether it needs both
-classes. `train_model` and `predict` do the shared work around them:
-the class check, the standardization, the artifact envelope. A family's
-`fit(X, labels, hp)` returns (parameters, metadata) and its
+`score`, whether its rows are standardized, whether it needs both
+classes and whether its score of a row is independent of the other rows
+scored with it. `train_model` and `predict` do the shared work around
+them: the class check, the standardization, the artifact envelope. A
+family's `fit(X, labels, hp)` returns (parameters, metadata) and its
 `score(artifact, X)` scores rows that are already standardized. A fit
 runs on one BLAS thread; scoring uses numpy's default pool.
 """
@@ -41,15 +42,19 @@ class Family(NamedTuple):
     score: Callable
     standardized: bool
     needs_both_classes: bool
+    per_row: bool
 
 
+# logreg, svm and nn score with BLAS products, which add in an order that
+# depends on the number of rows scored
 FAMILIES = {
-    "logreg": Family(LogRegParams, logreg.fit, logreg.score, True, True),
-    "svm": Family(SvmParams, svm.fit, svm.score, True, True),
-    "rf": Family(ForestParams, forest.fit, forest.score, False, False),
+    "logreg": Family(LogRegParams, logreg.fit, logreg.score, True, True,
+                     False),
+    "svm": Family(SvmParams, svm.fit, svm.score, True, True, False),
+    "rf": Family(ForestParams, forest.fit, forest.score, False, False, True),
     "gboost": Family(BoostingParams, boosting.fit, boosting.score, False,
-                     True),
-    "nn": Family(NnParams, nn.fit, nn.score, True, True),
+                     True, True),
+    "nn": Family(NnParams, nn.fit, nn.score, True, True, False),
 }
 
 

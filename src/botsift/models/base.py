@@ -13,6 +13,8 @@ from ..config import read_json_object
 from . import trees
 
 ARTIFACT_FORMAT_VERSION = 2
+# the tags of `models.FAMILIES`, which this module cannot import
+FAMILY_TAGS = ("logreg", "svm", "rf", "gboost", "nn")
 
 
 @dataclass
@@ -56,6 +58,9 @@ def load_artifact(path) -> ModelArtifact:
     if type(version) is not int or version not in (1, ARTIFACT_FORMAT_VERSION):
         raise ValueError(f"{path}: unsupported artifact format_version: "
                          f"{version}")
+    if doc["family"] not in FAMILY_TAGS:
+        raise ValueError(f"{path}: unknown model family in field family: "
+                         f"{doc['family']!r}")
     if doc["family"] in ("rf", "gboost"):
         parameters = doc["parameters"]
         if not (isinstance(parameters, dict)

@@ -33,14 +33,14 @@ class BoostingParams:
 def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):
     y = labels.astype(float)
     y_pm = 2.0 * y - 1.0
-    n, d = X.shape
+    n = X.shape[0]
     p0 = float(y.mean())
     # the exponential loss's margin F is half the log-odds: see `score`
     f0 = float(np.log(p0 / (1.0 - p0))) / (1.0 if hp.loss == "deviance"
                                           else 2.0)
     F = np.full(n, f0)
     stage_losses, stages = [], []
-    order = trees.presort(X)  # X is the same for every stage
+    presorted = trees.presort(X)  # X is the same for every stage
     while True:
         # the loss, its negative gradient and its hessian at the margins F
         if hp.loss == "deviance":
@@ -55,12 +55,16 @@ def fit(X: np.ndarray, labels: np.ndarray, hp: BoostingParams):
         if len(stages) == hp.n_trees:
             break
 
-        def leaf_value(idx):
-            denom = float(np.sum(hessian[idx]))
-            return float(np.sum(residual[idx])) / max(denom, 1e-12)
+        def line_search(tree, rows, starts):
+            values = []
+            for a, b in zip(starts[:-1].tolist(), starts[1:].tolist()):
+                denom = float(np.sum(hessian[rows[a:b]]))
+                values.append(float(np.sum(residual[rows[a:b]]))
+                              / max(denom, 1e-12))
+            return values
 
-        tree = trees.grow(X, residual, trees.sse_decrease, hp.max_depth,
-                          lambda: range(d), leaf_value, order=order)
+        tree, = trees.grow(presorted, residual, trees.sse_decrease,
+                           hp.max_depth, line_search)
         stages.append(tree)
         F = F + hp.learning_rate * trees.predict(tree, X)
 

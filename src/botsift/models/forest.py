@@ -6,7 +6,11 @@ subset (floor(sqrt(d)) features), choosing the maximal Gini-impurity
 decrease; ties keep the lowest feature index and threshold. Zero-decrease
 splits are allowed so consistent training sets can always reach purity.
 A tree holds each distinct (row, label) pair of the training data once,
-weighted by the number of times its bootstrap sample drew it.
+weighted by the number of times its bootstrap sample drew it. The trees
+are independent of each other, so they grow in lockstep, one node of
+each tree per step (`trees.grow`); each tree's generator draws its
+bootstrap sample, then its feature subsets in the tree's preorder, so
+every tree comes out as if it had grown alone.
 """
 
 from __future__ import annotations
@@ -31,32 +35,37 @@ class ForestParams:
     __post_init__ = check
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, rng: np.random.Generator,
-              max_depth: Optional[int], n_candidates: int,
-              importances: np.ndarray, weights: Optional[np.ndarray] = None,
-              order: Optional[np.ndarray] = None) -> dict:
-    """Grow one classification tree on a fresh random feature subset per
-    node; accumulates raw impurity-decrease importances weighted by node
-    fraction. `weights` and `order` are as in `trees.grow`."""
-    d = X.shape[1]
+def grow_trees(X: np.ndarray, y: np.ndarray, rngs: list,
+               max_depth: Optional[int], n_candidates: int,
+               weights: Optional[np.ndarray] = None):
+    """(trees, importances): one classification tree per generator of
+    `rngs`, tree t on the rows of `X` weighted by weights[t] (default:
+    every row once), and each tree's raw impurity-decrease importances,
+    (len(rngs), d), weighted by node fraction. Each node is offered a
+    fresh random feature subset drawn from its tree's generator, in the
+    tree's preorder."""
+    n, d = X.shape
     if weights is None:
-        weights = np.ones(X.shape[0], dtype=np.int64)
-    n_root = int(weights.sum())
+        weights = np.ones((len(rngs), n), dtype=np.int64)
+    n_root = weights.sum(axis=1)
+    importances = np.zeros((len(rngs), d))
+    k = min(n_candidates, d)
 
-    def features():
-        return np.sort(rng.choice(d, size=min(n_candidates, d),
-                                  replace=False))
+    def draw(trees_):
+        return np.sort([rngs[t].choice(d, size=k, replace=False)
+                        for t in trees_.tolist()], axis=1)
 
-    def leaf_value(idx):
-        # majority class; ties predict botnet
-        w = weights[idx]
-        return 1 if int(y[idx] @ w) * 2 >= int(w.sum()) else 0
+    def majority(tree, rows, starts):
+        w = weights.ravel()[np.repeat(tree * n, np.diff(starts)) + rows]
+        total = np.add.reduceat(w, starts[:-1])
+        positives = np.add.reduceat(w * y[rows], starts[:-1])
+        return (2 * positives >= total).astype(int).tolist()  # ties: botnet
 
-    def on_split(idx, feature, decrease):
-        importances[feature] += (int(weights[idx].sum()) / n_root) * decrease
+    def on_split(tree, feature, weight, decrease):
+        importances[tree, feature] += (weight / n_root[tree]) * decrease
 
-    return trees.grow(X, y, trees.gini_decrease, max_depth, features,
-                      leaf_value, on_split, weights, order)
+    return trees.grow(trees.presort(X), y, trees.gini_decrease, max_depth,
+                      majority, weights, draw, on_split), importances
 
 
 def distinct_pairs(X: np.ndarray, y: np.ndarray):
@@ -90,20 +99,13 @@ def fit(rows: np.ndarray, labels: np.ndarray, hp: ForestParams):
     # grows on the distinct pairs, weighted by how often it drew them
     first, pair_of = distinct_pairs(rows, labels)
     X, y = rows[first], labels[first]
-    order = trees.presort(X)
-
-    def one_tree(t: int):
-        rng = np.random.default_rng(hp.seed + t)
-        sample = rng.integers(0, n, size=n)
-        weights = np.bincount(pair_of[sample], minlength=first.shape[0])
-        importances = np.zeros(d)
-        tree = grow_tree(X, y, rng, hp.max_depth, n_candidates,
-                         importances, weights, order)
-        return tree, importances
-
-    results = [one_tree(t) for t in range(hp.n_trees)]
-    forest = [tree for tree, _ in results]
-    importances = np.sum([imp for _, imp in results], axis=0)
+    rngs = [np.random.default_rng(hp.seed + t) for t in range(hp.n_trees)]
+    weights = np.array([
+        np.bincount(pair_of[rng.integers(0, n, size=n)],
+                    minlength=first.shape[0]) for rng in rngs])
+    forest, importances = grow_trees(X, y, rngs, hp.max_depth, n_candidates,
+                                     weights)
+    importances = importances.sum(axis=0)
     total = importances.sum()
     if total > 0:
         importances = importances / total

@@ -1,164 +1,466 @@
-"""The binary decision tree of the forest and boosting families.
+"""The binary decision trees of the forest and boosting families.
 
 This is the only module that knows the tree layout: a dict of parallel
 per-node lists in preorder (node 0 is the root and a left child directly
 follows its parent): `feature` (-1 at a leaf), `threshold` (a row goes
 left when its feature value is <= it), `left` and `right` (-1 at a
 leaf) and `value` (0 at an inner node).
+
+`grow` grows a batch of trees in lockstep: all the trees of a forest,
+which are independent of each other (Breiman 2001), or the one tree of a
+boosting stage. Each step takes the next open node of every tree and
+does the work of all of them in a few vectorized passes: the leaf
+checks, the split scans and the partition of each split node's rows.
+A tree's nodes are contiguous ranges of one array of row ids, each in
+increasing row order. A scan needs a node's rows in the order of each
+offered feature, as a stable sort of that node alone gives them. A root
+reads them from the presort, less the rows of weight 0; a node offered
+every feature takes its parent's and splits them (the presorted
+attribute lists of SLIQ, Mehta et al. 1996); a node offered a few drawn
+features sorts its rows by their rank in each. The scans of a step go
+in groups of at most `SCAN_GROUP` (row, feature) elements, or one node,
+which bounds their arrays.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 FIELDS = ("feature", "threshold", "left", "right", "value")
+SCAN_GROUP = 1 << 14
 
 
-def gini_decrease(ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Gini-impurity decrease of 0/1 labels `ys` with integer
-    multiplicities `ws`, both (k, m) and each row sorted by one feature,
-    for a split after each of the first m - 1 positions of every row."""
-    # integer sums, exact in float64 and cheaper to divide there
-    counts = np.cumsum(ws, axis=1, dtype=float)
-    positives = np.cumsum(ys * ws, axis=1, dtype=float)
-    # every row holds the same rows, so the totals are shared
-    n = float(counts[0, -1])
-    total_pos = float(positives[0, -1])
-    p = total_pos / n
-    parent = 1.0 - p * p - (1.0 - p) * (1.0 - p)
-
-    n_left = counts[:, :-1]
-    left_pos = positives[:, :-1]
-    n_right = n - n_left
-    right_pos = total_pos - left_pos
-
-    gini_left = 1.0 - ((left_pos / n_left) ** 2
-                       + ((n_left - left_pos) / n_left) ** 2)
-    gini_right = 1.0 - ((right_pos / n_right) ** 2
-                        + ((n_right - right_pos) / n_right) ** 2)
-    weighted = (n_left * gini_left + n_right * gini_right) / n
-    return parent - weighted
+class Presorted(NamedTuple):
+    """`X` (n, d) as the grower reads it, the rest (d, n): `order[f]`
+    lists the rows by ascending feature f, ties in increasing row order,
+    `rank[f, i]` is the position of row i in `order[f]`, `values[f]`
+    holds feature f in that order and `rises[f]` is set where the next
+    value is larger."""
+    X: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    values: np.ndarray
+    rises: np.ndarray
 
 
-def sse_decrease(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Sum-of-squared-error reduction of targets `ts`, (k, m) with each
-    row sorted by one feature, for a split after each of the first m - 1
-    positions of every row. Every row counts once: gboost, the only
-    caller, never weights a row, so `ws` goes unread."""
-    m = ts.shape[1]
-    n_left = np.arange(1.0, m)
-    s1 = np.cumsum(ts, axis=1)
-    s2 = np.cumsum(ts * ts, axis=1)
-    total1, total2 = s1[:, -1:], s2[:, -1:]
-    l1, l2 = s1[:, :-1], s2[:, :-1]
-    parent = total2 - total1 * total1 / m
-    sse_left = l2 - l1 * l1 / n_left
-    sse_right = (total2 - l2) - (total1 - l1) ** 2 / (m - n_left)
-    return parent - (sse_left + sse_right)
+def presort(X: np.ndarray) -> Presorted:
+    order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(X.shape[0]), axis=1)
+    values = np.take_along_axis(X.T, order, axis=1)
+    rises = np.zeros(values.shape, dtype=bool)
+    np.greater(values[:, 1:], values[:, :-1], out=rises[:, :-1])
+    return Presorted(np.ascontiguousarray(X), order, rank, values, rises)
 
 
-def best_split(xs: np.ndarray, ts: np.ndarray, ws: np.ndarray, decrease):
-    """(decrease, threshold, row) of the best split of a (k, m) block
-    whose rows each hold one feature's values `xs` in ascending order,
-    with the targets `ts` and positive integer weights `ws` of the same
-    rows in the same order. Thresholds are midpoints between consecutive
-    distinct values, or the lower value where the midpoint does not lie
-    below the upper one; ties keep the lowest block row, then the lowest
-    threshold. None when every row of `xs` is constant."""
-    boundary = xs[:, 1:] > xs[:, :-1]  # split after position i
-    if not boundary.any():
-        return None
-    gains = np.where(boundary, decrease(ts, ws), -np.inf)
-    row, pos = divmod(int(np.argmax(gains)), gains.shape[1])
-    lower, upper = float(xs[row, pos]), float(xs[row, pos + 1])
-    threshold = (lower + upper) / 2.0
-    if not lower <= threshold < upper:
-        # the midpoint rounded up to `upper`, or overflowed to +-inf or
-        # nan, and would send every row to one side: a node that never
-        # shrinks. scikit-learn's splitter falls back to `lower` too.
-        threshold = lower
-    return float(gains[row, pos]), threshold, row
+class Scan(NamedTuple):
+    """A scan group as `decrease` reads it: `ts` and `ws` (None when
+    unweighted) hold the targets and weights of slot s at [starts[s],
+    starts[s + 1]), the rows of a node in ascending order of one feature
+    it is offered; each node has `k` adjacent slots, in the order of its
+    features. `boundary` is set where the feature value rises at the next
+    position of the slot: only there may a split fall."""
+    ts: np.ndarray
+    ws: np.ndarray | None
+    starts: np.ndarray
+    k: int
+    boundary: np.ndarray
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """(d + 1, n) row ids: row f lists the rows of `X` by ascending
-    feature f, ties in increasing row order; the last row lists them in
-    increasing order."""
-    order = np.empty((X.shape[1] + 1, X.shape[0]), dtype=np.intp)
-    order[:-1] = np.argsort(X, axis=0, kind="stable").T
-    order[-1] = np.arange(X.shape[0])
-    return order
+def gini_decrease(scan: Scan):
+    """Best split of each node of `scan` under the Gini-impurity decrease
+    of 0/1 labels with positive integer weights, a row of weight w
+    counting as w copies: (position after which it falls, -1 for none;
+    its decrease; node weight)."""
+    counts = _cumsum0(scan.ws)
+    positives = _cumsum0(scan.ts * scan.ws)
+    at = scan.boundary.nonzero()[0]
+    first, last = scan.starts[:-1], scan.starts[1:]
+    # integer sums are exact, so a slot's sums are differences of these
+    weight = counts[last] - counts[first]
+    slot = np.arange(first.size).repeat(last - first)[at]
+    n = weight[slot].astype(float)
+    total_pos = (positives[last] - positives[first])[slot].astype(float)
+    slot = first[slot]
+    n_left = (counts[at + 1] - counts[slot]).astype(float)
+    left_pos = (positives[at + 1] - positives[slot]).astype(float)
+    del counts, positives, slot
+    # parent - (n_left * gini_left + n_right * gini_right) / n, the parent
+    # impurity 1 - p * p - (1 - p) * (1 - p) at p = total_pos / n
+    gains = total_pos / n
+    parent = gains * gains
+    np.subtract(1.0, parent, out=parent)
+    np.subtract(1.0, gains, out=gains)
+    gains *= gains
+    np.subtract(parent, gains, out=gains)
+    del parent
+    left = _gini(n_left, left_pos)
+    left *= n_left
+    n_left -= n
+    np.negative(n_left, out=n_left)  # n_right
+    np.subtract(total_pos, left_pos, out=left_pos)  # right_pos
+    right = _gini(n_left, left_pos)
+    right *= n_left
+    left += right
+    left /= n
+    gains -= left
+    # a node's splits are adjacent, by offered feature, then position,
+    # and the first of its largest gains wins
+    head = at.searchsorted(scan.starts[::scan.k])
+    runs = head[1:] - head[:-1]
+    has = runs.nonzero()[0]
+    position = np.full(runs.size, -1)
+    gain = np.zeros(runs.size)
+    if has.size:
+        best = np.maximum.reduceat(gains, head[has])
+        hit = (gains == best.repeat(runs[has])).nonzero()[0]
+        node = head.searchsorted(hit, side="right")
+        hit = hit[np.concatenate(([True], node[1:] != node[:-1]))]
+        position[has], gain[has] = at[hit], gains[hit]
+    return position, gain, weight[::scan.k]
 
 
-def grow(X: np.ndarray, targets: np.ndarray, decrease,
-         max_depth: int | None, features, leaf_value,
-         on_split=None, weights: np.ndarray | None = None,
-         order: np.ndarray | None = None) -> dict:
-    """Grow one tree on the rows of `X` that have a positive integer
-    weight (default: every row, weight 1), splitting under `decrease`,
-    which reads a row of weight w as w copies (`gini_decrease` does).
+def sse_decrease(scan: Scan):
+    """Best split of each node of `scan` under the sum-of-squared-error
+    reduction: (position after which it falls, -1 for none; its
+    decrease; node row count). Every row counts once: gboost, the only
+    caller, never weights a row. Float sums depend on their order, so
+    each node's (k, m) block is summed on its own, each slot from its
+    first row, as a one-node scan did."""
+    position, gain, size = [], [], []
+    k = scan.k
+    bounds = scan.starts[::k].tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        ts = scan.ts[a:b].reshape(k, -1)
+        m = ts.shape[1]
+        n_left = np.arange(1.0, m)
+        # parent - (sse_left + sse_right), with s1 and s2 the running sums
+        # of ts and ts * ts, sse_left = l2 - l1 * l1 / n_left and
+        # sse_right = (total2 - l2) - (total1 - l1) ** 2 / (m - n_left),
+        # written into as few arrays as the operations need
+        s1 = ts.cumsum(axis=1)
+        s2 = ts * ts
+        s2.cumsum(axis=1, out=s2)
+        total1, total2 = s1[:, -1:], s2[:, -1:]
+        l1, l2 = s1[:, :-1], s2[:, :-1]
+        parent = total2 - total1 * total1 / m
+        sse_left = l1 * l1
+        sse_left /= n_left
+        np.subtract(l2, sse_left, out=sse_left)
+        gains = total1 - l1
+        np.square(gains, out=gains)
+        gains /= m - n_left
+        np.subtract(total2, l2, out=l2)
+        np.subtract(l2, gains, out=gains)
+        gains += sse_left
+        np.subtract(parent, gains, out=gains)
+        boundary = scan.boundary[a:b].reshape(k, m)[:, :-1]
+        gains[~boundary] = -np.inf
+        row, pos = divmod(int(gains.argmax()), m - 1)
+        position.append(a + row * m + pos if boundary[row, pos] else -1)
+        gain.append(gains[row, pos])
+        size.append(m)
+    return np.array(position), np.array(gain), np.array(size)
 
-    `order` is `presort(X)`, which callers that grow many trees on one
-    `X` compute once. It is split down the tree without sorting again,
-    so every node scans its rows in the order of a stable sort of that
-    node alone. A node is a leaf holding `leaf_value(idx)`, idx its rows
-    in increasing order, when it holds fewer than 2 rows, sits at
-    `max_depth` (None = unbounded), has constant targets, or no feature
-    that `features()` then offers varies; ties keep the feature offered
-    first. `on_split(idx, feature, decrease)` sees each split."""
+
+def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
+         leaf_values, weights: np.ndarray | None = None, draw=None,
+         on_split=None) -> list:
+    """One tree per row of `weights`, (T, n) nonnegative integers (None:
+    one tree, every row once); tree t grows on the rows of positive
+    weights[t], splitting under `decrease`.
+
+    Every node is offered every feature, unless `draw(trees)` gives, for
+    the next node of each listed tree, the features it offers: one row
+    each, ascending, so that ties keep the feature offered first. A node
+    is a leaf when it holds fewer than 2 rows, sits at `max_depth` (None:
+    unbounded) or has constant targets, with no draw made for it, or when
+    no offered feature varies on it. A split takes the largest decrease,
+    the first offered feature and lowest position on ties, at the midpoint
+    between two consecutive distinct values, or at the lower value where
+    the midpoint does not lie below the upper one.
+
+    With `draw`, a step takes the next node of every tree, in the tree's
+    preorder, so each tree draws from its own stream in preorder whatever
+    the other trees do, and a scan sorts each node's rows by their rank
+    in each offered feature. Without it, a step takes every open node,
+    and a node's rows in each feature's order are its parent's, split.
+    `on_split(tree, feature, weight, decrease)` sees the splits of each
+    step, with each split node's total weight: with `draw`, each tree's
+    splits in preorder. `leaf_values(tree, rows, starts)` gives the value
+    of every leaf i at once, `rows[starts[i]:starts[i + 1]]` its rows in
+    increasing order and `tree[i]` its tree."""
+    n, d = presorted.X.shape
     if weights is None:
-        weights = np.ones(X.shape[0], dtype=np.int64)
-    if order is None:
-        order = presort(X)
-    member = np.zeros(X.shape[0], dtype=bool)
+        rows, bounds, weights = np.arange(n), [0, n], (None, None)
+    else:
+        flat_w = weights.ravel()
+        kept = flat_w > 0
+        rows = kept.nonzero()[0]  # tree * n + row, tree by tree
+        bounds = rows.searchsorted(np.arange(len(weights) + 1) * n).tolist()
+        rows %= n
+        weights = (flat_w, kept)
+    n_trees = len(bounds) - 1
+    # a node is (tree, first, end, depth, record): [first, end) is its
+    # range of `rows`, and records number the nodes as they are made.
+    # Without `draw`, the split of each node of the last step is in
+    # `parents`, by the records of its children.
+    stacks = [[(t, bounds[t], bounds[t + 1], 0, t)] for t in range(n_trees)]
+    n_records, parents = n_trees, {}
+    made, thresholds = [], []
+    while True:
+        if draw is None:
+            nodes = [node for stack in stacks for node in stack]
+            for stack in stacks:
+                stack.clear()
+        else:
+            nodes = [stack.pop() for stack in stacks if stack]
+        if not nodes:
+            break
+        tree, lo, hi, depth, record = np.array(nodes).T
+        m = hi - lo
+        leaf = m < 2
+        if max_depth is not None:
+            leaf |= depth >= max_depth
+        check = (~leaf).nonzero()[0]
+        if check.size:
+            leaf[check[_constant(targets, rows, lo[check], m[check])]] = True
 
-    def cut(rows):
-        """The columns of `rows` whose row ids are set in `member`."""
-        # np.compress is several times faster than a boolean index here
-        return np.compress(member.take(rows).ravel(), rows).reshape(
-            rows.shape[0], -1)
+        feature = np.full(len(nodes), -1)
+        threshold = np.zeros(len(nodes))
+        left = np.full(len(nodes), -1)
+        split = (~leaf).nonzero()[0]
+        if split.size:
+            if draw is None:
+                offered = np.arange(d)[None].repeat(split.size, axis=0)
+                blocks = [_child_rows(presorted.rank, *parents[r])
+                          for r in record[split].tolist()] if parents else []
+            else:
+                offered, blocks = draw(tree[split]), None
+            found, f, cut, gain, weight, n_left, below, scanned = _best_splits(
+                presorted, rows, targets, weights, decrease, not depth.any(),
+                tree[split], lo[split], m[split], offered, blocks)
+            split = split[found]
+            feature[split], threshold[split] = f, cut
+            s_lo, s_m = lo[split], m[split]
+            _partition(presorted.rank, rows, s_lo, s_m, n_left, f, below)
+            left[split] = n_records + 2 * np.arange(split.size)
+            n_records += 2 * split.size
+            children = [v.tolist() for v in (tree[split], s_lo, s_lo + n_left,
+                                             hi[split], depth[split] + 1,
+                                             left[split])]
+            for t, a, mid, b, dep, rec in zip(*children):
+                # the left child is popped first: preorder
+                stacks[t] += [(t, mid, b, dep, rec + 1), (t, a, mid, dep, rec)]
+            if draw is None:
+                parents = {}
+                for rec, *parent in zip(children[-1], scanned, f.tolist(),
+                                        below.tolist()):
+                    parent.append(None)
+                    parents[rec] = parent, True
+                    parents[rec + 1] = parent, False
+            if on_split is not None:
+                on_split(tree[split], f, weight, gain)
+        made.append(np.array([record, tree, lo, depth, feature, left]))
+        thresholds.append(threshold)
+    return _assemble(np.concatenate(made, axis=1), np.concatenate(thresholds),
+                     n_trees, rows, leaf_values)
 
-    # A node is (a presorted block that holds its rows, which ids of the
-    # block's last row are its own, depth). Only a node that splits cuts
-    # its own block out of that one, and only when that at least halves
-    # it; a larger node cuts just the rows it scans and passes the block
-    # on. Leaves cut nothing, and no node scans a block over twice its
-    # size.
-    def split(node):
-        base, mine, depth = node
-        idx = np.compress(mine, base[-1])
-        t_node = targets[idx]
-        if (idx.shape[0] < 2
-                or (max_depth is not None and depth >= max_depth)
-                or np.all(t_node == t_node[0])):
-            return None
-        offered = np.asarray(features(), dtype=np.intp)
-        if idx.shape[0] < base.shape[1]:
-            member[base[-1]] = mine
-            if 2 * idx.shape[0] <= base.shape[1]:
-                base, mine = cut(base), np.ones(idx.shape[0], dtype=bool)
-        block = base[offered]
-        if idx.shape[0] < base.shape[1]:
-            block = cut(block)
-        xs = X[block, offered[:, None]]
-        found = best_split(xs, targets[block], weights[block], decrease)
-        if found is None:
-            return None
-        gain, threshold, k = found
-        feature = int(offered[k])
-        if on_split is not None:
-            on_split(idx, feature, gain)
-        # the rows with x <= threshold lead the sorted row of the feature
-        n_left = int(np.count_nonzero(xs[k] <= threshold))
-        member[base[-1]] = False
-        member[block[k, :n_left]] = True
-        left = member.take(base[-1])
-        return (feature, threshold, (base, left, depth + 1),
-                (base, mine & ~left, depth + 1))
 
-    return _preorder((order, weights.take(order[-1]) > 0, 0), split,
-                     lambda node: leaf_value(np.compress(node[1],
-                                                         node[0][-1])))
+def _best_splits(presorted, rows, targets, weights, decrease, roots, tree,
+                 lo, m, offered, blocks):
+    """For the nodes (tree, lo, m), each offered the features of its row
+    of `offered`: (which of them split, and at which feature, threshold,
+    decrease and node weight, how many rows go left and the rank in that
+    feature of the last of them; and, with `blocks`, the rows each split
+    node scanned, (k, m) by offered feature). `weights` are all trees'
+    weights and which of them are positive, flat; `roots` says the nodes
+    are roots. `blocks` is None when the nodes are offered drawn
+    features, and else holds each node's rows in the order of each
+    feature, or nothing at the roots. Nodes are scanned in groups of at
+    most SCAN_GROUP (row, feature) elements, or one node."""
+    cuts, total = [0], 0
+    for c, size in enumerate((offered.shape[1] * m).tolist()):
+        if total and total + size > SCAN_GROUP:
+            cuts.append(c)
+            total = 0
+        total += size
+    cuts.append(m.size)
+    found = [_scan_group(presorted, rows, targets, weights, decrease, roots,
+                         tree[a:b], lo[a:b], m[a:b], offered[a:b],
+                         blocks and blocks[a:b])
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    for first, group in zip(cuts, found):
+        group[0] += first
+    scanned = [block for group in found for block in group.pop()]
+    node, f, lower, upper, *rest = map(np.concatenate, zip(*found))
+    return [node, f, np.array(list(map(_midpoint, lower.tolist(),
+                                       upper.tolist()))), *rest, scanned]
+
+
+def _midpoint(lower: float, upper: float) -> float:
+    """The threshold between two consecutive distinct values."""
+    threshold = (lower + upper) / 2.0
+    # the midpoint rounded up to `upper`, or overflowed to +-inf or nan,
+    # and would send every row to one side: a node that never shrinks.
+    # scikit-learn's splitter falls back to `lower` too.
+    return threshold if lower <= threshold < upper else lower
+
+
+def _scan_group(presorted, rows, targets, weights, decrease, roots, tree, lo,
+                m, offered, blocks):
+    """`_best_splits` for one group of nodes, the rows each scanned as a
+    list, and the nodes numbered within the group."""
+    X, order, rank = (a.ravel() for a in presorted[:3])
+    flat_w, kept = weights
+    n = presorted.order.shape[1]
+    k = offered.shape[1]
+    feature = offered.ravel()
+    size = m.repeat(k)  # of each slot
+    starts = _cumsum0(size)
+    boundary = None
+    if blocks:
+        ids = np.concatenate(blocks, axis=None)
+    elif roots and m.min() == n:  # each slot is its feature's presort
+        ids = presorted.order[feature].ravel()
+        xs = presorted.values[feature].ravel()
+        boundary = presorted.rises[feature].ravel()
+    elif roots:  # a root's slot is its feature's presort, less weight 0
+        ids = presorted.order[feature]
+        ids = ids[kept.take(ids + (tree * n).repeat(k)[:, None])]
+    else:
+        ids = rows[(lo.repeat(k) - starts[:-1]).repeat(size)
+                   + np.arange(starts[-1])]
+        # sort each slot's rows by their rank in its feature: the keys of
+        # slot s lie in [s * n, (s + 1) * n), so one sort keeps slots apart
+        slot_base = np.arange(0, size.size * n, n).repeat(size)
+        keys = np.add(rank[(feature * n).repeat(size) + ids], slot_base,
+                      dtype=np.int32 if size.size * n < 2 ** 31 else np.int64,
+                      casting="unsafe")
+        keys.sort()
+        keys -= slot_base
+        del slot_base
+        ids = order[(feature * n).repeat(size) + keys]
+        del keys
+    if boundary is None:
+        at = ids * presorted.X.shape[1]
+        at += feature.repeat(size)
+        xs = X[at]
+        del at
+        boundary = np.empty(xs.shape, dtype=bool)
+        np.greater(xs[1:], xs[:-1], out=boundary[:-1])
+        boundary[starts[1:] - 1] = False  # no split between two slots
+    ws = None if flat_w is None else flat_w[(tree * n).repeat(k * m) + ids]
+    e, gain, weight = decrease(Scan(targets[ids], ws, starts, k, boundary))
+    node = (e >= 0).nonzero()[0]
+    e = e[node]
+    s = node * k + (e - starts[node * k]) // m[node]
+    f = feature[s]
+    block = starts[::k].tolist()
+    scanned = [] if blocks is None else [
+        ids[block[c]:block[c + 1]].reshape(k, -1) for c in node.tolist()]
+    return [node, f, xs[e], xs[e + 1], gain[node], weight[node],
+            e - starts[s] + 1, rank[f * n + ids[e]], scanned]
+
+
+def _gini(count: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """The Gini impurity of sides of `count` rows, `positive` of them
+    botnet: 1 - ((positive / count) ** 2 + ((count - positive) / count)
+    ** 2)."""
+    share = positive / count
+    np.square(share, out=share)
+    other = count - positive
+    other /= count
+    np.square(other, out=other)
+    share += other
+    return np.subtract(1.0, share, out=share)
+
+
+def _constant(targets, rows, lo, m) -> np.ndarray:
+    """Which of the nodes [lo, lo + m) of `rows` have constant targets."""
+    where, first = _spans(lo, m)
+    t_node = targets[rows[where]]
+    differs = np.empty(t_node.shape, dtype=bool)
+    np.not_equal(t_node[1:], t_node[:-1], out=differs[1:])
+    differs[first] = False
+    return ~np.logical_or.reduceat(differs, first)
+
+
+def _partition(rank, rows, lo, m, n_left, feature, below):
+    """Stable partition of the nodes [lo, lo + m) of `rows`: the n_left
+    rows that rank at most `below` in `feature` lead, each side in
+    increasing order."""
+    ids = rows[_spans(lo, m)[0]]
+    goes_left = (rank.ravel()[(feature * rank.shape[1]).repeat(m) + ids]
+                 <= below.repeat(m))
+    rows[_spans(lo, n_left)[0]] = ids[goes_left]
+    rows[_spans(lo + n_left, m - n_left)[0]] = ids[~goes_left]
+
+
+def _child_rows(rank, parent, goes_left):
+    """A child's rows in the order of each feature, from its parent's
+    scanned rows and split: `parent` is [rows (d, m), feature, rank of
+    the last left row, the side of each of the rows once known]."""
+    rows, feature, below, left = parent
+    if left is None:
+        left = parent[3] = rank[feature][rows] <= below
+    return rows[left if goes_left else ~left].reshape(len(rows), -1)
+
+
+def _assemble(made, thresholds, n_trees, rows, leaf_values) -> list:
+    """The trees in the flat layout from the records of their nodes, a
+    node's children numbered after it, its left child first."""
+    record, tree, lo, depth, feature, left = made
+    count = record.size
+    by_record = np.empty(count, dtype=np.intp)
+    by_record[record] = np.arange(count)
+    tree, lo, depth, feature, left, thresholds = (
+        v[by_record] for v in (tree, lo, depth, feature, left, thresholds))
+    inner = left >= 0
+    levels = [np.flatnonzero(inner & (depth == level))
+              for level in range(int(depth.max()) + 1)]
+    size = np.ones(count, dtype=np.intp)  # of each node's subtree
+    for sel in reversed(levels):
+        size[sel] += size[left[sel]] + size[left[sel] + 1]
+    number = np.zeros(count, dtype=np.intp)  # in its tree's preorder
+    for sel in levels:
+        child = left[sel]
+        number[child] = number[sel] + 1
+        number[child + 1] = number[child] + size[child]
+    base = np.cumsum(size[:n_trees]) - size[:n_trees]  # record t: root of t
+    at = base[tree] + number
+    out = {"feature": np.empty(count, dtype=np.intp),
+           "threshold": np.empty(count),
+           "left": np.full(count, -1, dtype=np.intp),
+           "right": np.full(count, -1, dtype=np.intp),
+           "value": np.zeros(count, dtype=object)}
+    out["feature"][at] = feature
+    out["threshold"][at] = thresholds
+    out["left"][at[inner]] = number[left[inner]]
+    out["right"][at[inner]] = number[left[inner] + 1]
+    leaves = np.flatnonzero(~inner)
+    leaves = leaves[np.argsort(lo[leaves])]  # their ranges tile `rows`
+    out["value"][at[leaves]] = leaf_values(
+        tree[leaves], rows, np.append(lo[leaves], rows.size))
+    return [{key: out[key][a:a + s].tolist() for key in FIELDS}
+            for a, s in zip(base.tolist(), size[:n_trees].tolist())]
+
+
+def _cumsum0(a: np.ndarray) -> np.ndarray:
+    """[0, a[0], a[0] + a[1], ...]."""
+    out = np.zeros(a.size + 1, dtype=a.dtype)
+    np.cumsum(a, out=out[1:])
+    return out
+
+
+def _spans(first: np.ndarray, length: np.ndarray):
+    """(the ranges [first, first + length) one after another, where each
+    starts in that array)."""
+    starts = np.cumsum(length) - length
+    return (np.repeat(first - starts, length) + np.arange(length.sum()),
+            starts)
 
 
 def from_v1(root: dict) -> dict:

@@ -21,7 +21,7 @@ from botsift.cli import main
 from botsift.evaluation import evaluate_once, prf1, repeated_eval
 from botsift.flows import load_scenario
 from botsift.models import ForestParams, train_model, trees
-from botsift.models.forest import grow_tree
+from botsift.models.forest import grow_trees
 from botsift.models.nn import (bce_from_logits, forward_backward,
                                forward_logits, init_network,
                                parameter_counts)
@@ -184,10 +184,13 @@ def test_criterion_05_tree_oracle():
         n = int(rng.integers(5, 60))
         x = np.round(rng.normal(0, 2, n), 1)
         y = rng.integers(0, 2, n)
-        order = trees.presort(x[:, None])[0]
-        found = trees.best_split(x[order][None], y[order][None],
-                                 np.ones((1, n), dtype=np.int64),
-                                 trees.gini_decrease)
+        gains = []
+        root, = trees.grow(
+            trees.presort(x[:, None]), y, trees.gini_decrease, 1,
+            lambda tree, rows, starts: [0] * (starts.size - 1),
+            np.ones((1, n), dtype=np.int64),
+            on_split=lambda tree, f, w, gain: gains.extend(gain))
+        found = (gains[0], root["threshold"][0]) if gains else None
         expected = gini_oracle(x, y)
         if expected is None or expected[0] <= 0.0:
             continue
@@ -196,9 +199,8 @@ def test_criterion_05_tree_oracle():
         assert abs(found[0] - expected[0]) < 1e-12
         checked += 1
 
-        importances = np.zeros(1)
-        stump = grow_tree(x[:, None], y, np.random.default_rng(0), 1, 1,
-                          importances)
+        (stump,), _ = grow_trees(x[:, None], y, [np.random.default_rng(0)],
+                                 1, 1)
         assert stump["threshold"][0] == expected[1]
     assert checked >= 100
 
@@ -208,8 +210,7 @@ def test_criterion_05_tree_oracle():
         X = rng.normal(size=(80, 3))
         y = rng.integers(0, 2, 80)
         y[0], y[1] = 1, 0
-        tree = grow_tree(X, y, np.random.default_rng(seed), None, 3,
-                         np.zeros(3))
+        (tree,), _ = grow_trees(X, y, [np.random.default_rng(seed)], None, 3)
         assert prf1(y, trees.predict(tree, X)).f1 == 1.0
 
     ds = Dataset(rng.normal(size=(200, 4)), rng.integers(0, 2, 200),

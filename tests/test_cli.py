@@ -425,6 +425,22 @@ class TestSweep:
         assert "missing.csv" not in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("command", [["sweep", "--grid", "c=1,10"],
+                                         ["train", "-o", "model.json"]])
+    @pytest.mark.parametrize("hp", [["c=1", "c=5"],
+                                    ["n-trees=2", "n_trees=3"]])
+    def test_a_hyperparameter_given_twice_is_refused(self, tmp_path, capsys,
+                                                     command, hp):
+        # the last value used to win without a word
+        key = hp[0].split("=")[0].replace("-", "_")
+        argv = [command[0], str(tmp_path / "missing.csv"), *command[1:],
+                "--hp", hp[0], "--hp", hp[1]]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert_one_error_naming(captured, f"hyperparameter {key} is given "
+                                          "twice")
+        assert "missing.csv" not in captured.err
+
     def test_bad_grid_is_runtime_error(self, features_csv, capsys):
         assert main(["sweep", str(features_csv), "--grid", "n_trees"]) == 1
         assert "not key=v1,v2" in capsys.readouterr().err

@@ -9,7 +9,8 @@ from botsift.evaluation import (Metrics, bootstrap_resample,
                                 cross_scenario_eval, evaluate_once,
                                 hyperparam_sweep, prf1, repeated_eval,
                                 split_dataset)
-from botsift.models import ForestParams, LogRegParams, make_params
+from botsift.models import (ForestParams, LogRegParams, make_params,
+                            predict)
 from botsift.windows import KEY, Dataset
 
 NAN = float("nan")
@@ -71,6 +72,17 @@ class TestPrf1:
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError):
             prf1([1, 0], [1])
+        with pytest.raises(ValueError):
+            prf1([1, 0], [1, 1], [2])
+
+    def test_counts_weigh_each_row(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y_true = rng.integers(0, 2, size=50)
+            y_pred = rng.integers(0, 2, size=50)
+            counts = rng.integers(0, 4, size=50)
+            assert prf1(y_true, y_pred, counts) == prf1(
+                np.repeat(y_true, counts), np.repeat(y_pred, counts))
 
 
 def toy_dataset(n=300, seed=0, d=3):
@@ -152,6 +164,28 @@ class TestBootstrap:
             bootstrap_factor=5)
         assert train_m.n == 5 * 100  # floor(2/3 * 150) = 100, then x5
         assert test_m.n == 50
+
+    @pytest.mark.parametrize("family", ["rf", "gboost"])
+    @pytest.mark.parametrize("factor", [1, 10, 30])
+    def test_training_metrics_equal_a_scoring_of_the_resample(self, family,
+                                                              factor):
+        # the distinct training rows are scored once and counted as often
+        # as they were drawn; rounded rows and noisy labels keep the
+        # training metrics off 1
+        rng = np.random.default_rng(12)
+        X = np.round(rng.normal(size=(120, 2)))
+        y = (X[:, 0] + rng.normal(0, 0.7, 120) > 0).astype(int)
+        ds = Dataset(X, y, ["a", "b"])
+        hp = make_params(family, {"n_trees": 5})
+        train_m, _, artifact = evaluate_once(ds, family, hp, split_seed=6,
+                                             bootstrap_factor=factor)
+        train, _ = split_dataset(ds, 2.0 / 3.0, 6)
+        resample = (bootstrap_resample(train, factor, 6) if factor != 1
+                    else train)
+        _, labels = predict(artifact, resample.rows)
+        assert train_m == prf1(resample.labels, labels)
+        assert train_m.n == factor * train.n
+        assert train_m.f1 < 1.0
 
     def test_evaluate_once_factor_one_trains_on_the_split(self):
         ds = toy_dataset(150, seed=10)

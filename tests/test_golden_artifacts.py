@@ -23,6 +23,7 @@ from botsift.evaluation import bootstrap_resample
 from botsift.models import (FAMILIES, BoostingParams, ForestParams,
                             LogRegParams, NnParams, SvmParams, load_artifact,
                             predict, train_model)
+from botsift.models.base import FAMILY_TAGS
 from botsift.windows import Dataset
 
 DATA = Path(__file__).parent / "data"
@@ -169,6 +170,20 @@ def test_a_tree_model_needs_a_trees_list(tmp_path, name, parameters):
     doc = json.loads((DATA / f"{name}.json").read_text())
     doc["parameters"] = parameters
     assert "no parameters.trees list" in refusal(tmp_path, json.dumps(doc))
+
+
+@pytest.mark.parametrize("family", ["forest", "RF", "", 3, None])
+def test_an_unknown_family_is_refused(tmp_path, family):
+    # it used to load, and eval --model-file then failed naming no file
+    doc = json.loads((DATA / "golden_v2_rf_x10.json").read_text())
+    doc["family"] = family
+    message = refusal(tmp_path, json.dumps(doc))
+    assert "unknown model family in field family" in message
+    assert repr(family) in message
+
+
+def test_the_loader_knows_every_family():
+    assert FAMILY_TAGS == tuple(FAMILIES)
 
 
 # a value other than the default in every field of each family's params

@@ -1,5 +1,6 @@
 """Random forest and gradient boosting against brute-force split
-oracles, a closed-form stump, and structural invariants."""
+oracles, the one-node grower of `tree_oracle`, a closed-form stump, and
+structural invariants."""
 
 import contextlib
 import functools
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_oracle
 from botsift.models import ForestParams, predict, train_model, trees
 from botsift.models.base import ModelArtifact, load_artifact
 from botsift.models.boosting import BoostingParams
-from botsift.models.forest import distinct_pairs, grow_tree
+from botsift.models.forest import distinct_pairs, grow_trees
 from botsift.windows import Dataset
 
 SIGMOID_2 = 0.8807970779778823    # 1 / (1 + e^-2)
@@ -70,15 +72,42 @@ def sse_oracle(x, t):
 
 
 def scan(x, t, decrease, weights=None):
-    """(decrease, threshold) of `trees.best_split` on one feature's
-    values, presorted and weighted (default 1) as the grower hands it a
-    node; None when no split exists."""
-    order = trees.presort(x[:, None])[0]
+    """(decrease, threshold) of the oracle's `best_split` on one
+    feature's values, presorted and weighted (default 1) as its grower
+    hands it a node; None when no split exists."""
+    order = tree_oracle.presort(x[:, None])[0]
     if weights is None:
         weights = np.ones(x.shape[0], dtype=np.int64)
-    found = trees.best_split(x[order][None], t[order][None],
-                             weights[order][None], decrease)
+    found = tree_oracle.best_split(x[order][None], t[order][None],
+                                   weights[order][None], decrease)
     return None if found is None else found[:2]
+
+
+def root_split(x, t, decrease):
+    """(decrease, threshold) of the root split `trees.grow` makes on one
+    feature's values, every row once; None when it makes none."""
+    gains = []
+    tree, = trees.grow(trees.presort(x[:, None]), t, decrease, 1,
+                       lambda tree, rows, starts: [0] * (starts.size - 1),
+                       np.ones((1, x.size), dtype=np.int64),
+                       on_split=lambda tree, f, w, g: gains.extend(g))
+    return (float(gains[0]), tree["threshold"][0]) if gains else None
+
+
+def grow_tree(X, y, rng, max_depth, n_candidates, weights=None):
+    """(tree, importances) of a one-tree forest."""
+    forest, importances = grow_trees(
+        X, y, [rng], max_depth, n_candidates,
+        None if weights is None else weights[None])
+    return forest[0], importances[0]
+
+
+def mean_leaves(targets):
+    """`trees.grow`'s leaf_values: each leaf's mean target."""
+    def leaf_values(tree, rows, starts):
+        return [float(targets[rows[a:b]].mean())
+                for a, b in zip(starts[:-1], starts[1:])]
+    return leaf_values
 
 
 class TestGiniSplits:
@@ -88,7 +117,7 @@ class TestGiniSplits:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)  # force duplicate values
             y = rng.integers(0, 2, size=n)
-            found = scan(x, y, trees.gini_decrease)
+            found = scan(x, y, tree_oracle.gini_decrease)
             expected = gini_oracle(x, y)
             if expected is None:
                 assert found is None
@@ -99,7 +128,7 @@ class TestGiniSplits:
 
     def test_constant_feature_returns_none(self):
         assert scan(np.ones(5), np.array([0, 1, 0, 1, 0]),
-                    trees.gini_decrease) is None
+                    tree_oracle.gini_decrease) is None
 
     def test_depth1_tree_threshold_matches_oracle(self):
         rng = np.random.default_rng(35)
@@ -109,9 +138,8 @@ class TestGiniSplits:
             y = rng.integers(0, 2, size=n)
             if len(np.unique(y)) < 2:
                 continue
-            tree = grow_tree(x[:, None], y, np.random.default_rng(0),
-                             max_depth=1, n_candidates=1,
-                             importances=np.zeros(1))
+            tree, _ = grow_tree(x[:, None], y, np.random.default_rng(0),
+                                max_depth=1, n_candidates=1)
             expected = gini_oracle(x, y)
             assert tree["threshold"][0] == expected[1]
 
@@ -179,10 +207,9 @@ class TestForest:
             transformed = np.column_stack([np.exp(X[:, 0]),
                                            X[:, 1] ** 3,
                                            np.arctan(X[:, 2])])
-            base = grow_tree(X, y, np.random.default_rng(seed), None, 2,
-                             np.zeros(3))
-            lifted = grow_tree(transformed, y, np.random.default_rng(seed),
-                               None, 2, np.zeros(3))
+            base, _ = grow_tree(X, y, np.random.default_rng(seed), None, 2)
+            lifted, _ = grow_tree(transformed, y,
+                                  np.random.default_rng(seed), None, 2)
             np.testing.assert_array_equal(
                 trees.predict(base, X), trees.predict(lifted, transformed))
 
@@ -243,8 +270,7 @@ class TestForest:
         X = np.array(column)[:, None]
         y = np.array([0, 1])
         with time_limit(5.0):
-            tree = grow_tree(X, y, np.random.default_rng(0), None, 1,
-                             np.zeros(1))
+            tree, _ = grow_tree(X, y, np.random.default_rng(0), None, 1)
         assert tree["feature"] == [0, -1, -1]
         assert tree["threshold"][0] == column[0]
         np.testing.assert_array_equal(trees.predict(tree, X), y)
@@ -280,7 +306,7 @@ class TestBoosting:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)
             t = rng.normal(size=n)
-            found = scan(x, t, trees.sse_decrease)
+            found = scan(x, t, tree_oracle.sse_decrease)
             expected = sse_oracle(x, t)
             if expected is None:
                 assert found is None
@@ -328,10 +354,8 @@ class TestBoosting:
     def test_regression_tree_fits_targets_at_depth(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         targets = np.array([5.0, 5.0, -1.0, -1.0])
-        tree = trees.grow(
-            X, targets, trees.sse_decrease, max_depth=2,
-            features=lambda: range(1),
-            leaf_value=lambda idx: float(targets[idx].mean()))
+        tree, = trees.grow(trees.presort(X), targets, trees.sse_decrease,
+                           max_depth=2, leaf_values=mean_leaves(targets))
         np.testing.assert_allclose(trees.predict(tree, X), targets,
                                    atol=1e-12)
 
@@ -419,14 +443,16 @@ def test_splits_match_the_stable_tie_order_bit_for_bit():
         order = np.argsort(x, kind="stable")
         xs = x[order]
         boundaries = np.nonzero(xs[1:] > xs[:-1])[0]
-        for t, decrease in ((rng.normal(size=2000), trees.sse_decrease),
-                            (rng.integers(0, 2, size=2000),
-                             trees.gini_decrease)):
-            gains = decrease(t[order][None],
-                             np.ones((1, 2000), dtype=np.int64))[0, boundaries]
+        for t, decrease, oracle in (
+                (rng.normal(size=2000), trees.sse_decrease,
+                 tree_oracle.sse_decrease),
+                (rng.integers(0, 2, size=2000), trees.gini_decrease,
+                 tree_oracle.gini_decrease)):
+            gains = oracle(t[order][None],
+                           np.ones((1, 2000), dtype=np.int64))[0, boundaries]
             pos = boundaries[int(np.argmax(gains))]
             expected = (float(gains.max()), (xs[pos] + xs[pos + 1]) / 2.0)
-            assert scan(x, t, decrease) == expected
+            assert root_split(x, t, decrease) == expected
 
 
 # values on a coarse grid, so duplicates and ties are common
@@ -440,7 +466,7 @@ class TestTreeCoreProperties:
     def test_gini_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         y = np.array([label for _, label in pairs])
-        assert_optimal_split(scan(x, y, trees.gini_decrease),
+        assert_optimal_split(scan(x, y, tree_oracle.gini_decrease),
                              x, y, gini_oracle, 1e-12)
 
     @settings(deadline=None)
@@ -449,7 +475,7 @@ class TestTreeCoreProperties:
     def test_sse_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         t = np.array([target / 4.0 for _, target in pairs])
-        assert_optimal_split(scan(x, t, trees.sse_decrease),
+        assert_optimal_split(scan(x, t, tree_oracle.sse_decrease),
                              x, t, sse_oracle, 1e-9)
 
     @settings(deadline=None)
@@ -463,9 +489,8 @@ class TestTreeCoreProperties:
                                               min_size=n, max_size=n)),
                            dtype=float)
         max_depth = data.draw(st.one_of(st.none(), st.integers(1, 4)))
-        tree = trees.grow(X, targets, trees.sse_decrease, max_depth,
-                          lambda: range(d),
-                          lambda idx: float(targets[idx].mean()))
+        tree, = trees.grow(trees.presort(X), targets, trees.sse_decrease,
+                           max_depth, mean_leaves(targets))
 
         assert len({len(tree[key]) for key in trees.FIELDS}) == 1
         for node, feature in enumerate(tree["feature"]):
@@ -492,9 +517,9 @@ class TestTreeCoreProperties:
         x = np.array([v for v, _, _ in triples])
         y = np.array([label for _, label, _ in triples])
         w = np.array([count for _, _, count in triples])
-        assert (scan(x, y, trees.gini_decrease, w)
+        assert (scan(x, y, tree_oracle.gini_decrease, w)
                 == scan(np.repeat(x, w), np.repeat(y, w),
-                        trees.gini_decrease))
+                        tree_oracle.gini_decrease))
 
     @settings(deadline=None)
     @given(st.data())
@@ -517,12 +542,11 @@ class TestTreeCoreProperties:
         max_depth = data.draw(st.one_of(st.none(), st.integers(1, 4)))
         n_candidates = data.draw(st.integers(1, d))
 
-        repeated_imp, distinct_imp = np.zeros(d), np.zeros(d)
-        repeated = grow_tree(X, y, np.random.default_rng(seed), max_depth,
-                             n_candidates, repeated_imp)
-        distinct = grow_tree(pairs[:, :d], pairs[:, d].astype(int),
-                             np.random.default_rng(seed), max_depth,
-                             n_candidates, distinct_imp, weights=counts)
+        repeated, repeated_imp = grow_tree(
+            X, y, np.random.default_rng(seed), max_depth, n_candidates)
+        distinct, distinct_imp = grow_tree(
+            pairs[:, :d], pairs[:, d].astype(int),
+            np.random.default_rng(seed), max_depth, n_candidates, counts)
         assert distinct == repeated
         assert distinct_imp.tobytes() == repeated_imp.tobytes()
 
@@ -538,20 +562,73 @@ class TestTreeCoreProperties:
         targets = np.array(data.draw(st.lists(
             st.floats(-3, 3, allow_nan=False, allow_subnormal=False),
             min_size=n, max_size=n)))
-        splits = []
-        tree = trees.grow(X, targets, trees.sse_decrease, None,
-                          lambda: range(d), lambda idx: 0.0,
-                          lambda idx, f, gain: splits.append((idx, f, gain)))
-        inner = [node for node, f in enumerate(tree["feature"]) if f >= 0]
-        assert len(inner) == len(splits)
-        for node, (idx, feature, gain) in zip(inner, splits):
-            assert np.all(np.diff(idx) > 0)
+        tree, = trees.grow(trees.presort(X), targets, trees.sse_decrease,
+                           None, mean_leaves(targets))
+        reach = {0: np.arange(n)}  # each node's rows, in increasing order
+        for node, feature in enumerate(tree["feature"]):
+            idx = reach.pop(node)
+            if feature < 0:
+                continue
+            goes_left = X[idx, feature] <= tree["threshold"][node]
+            reach[tree["left"][node]] = idx[goes_left]
+            reach[tree["right"][node]] = idx[~goes_left]
             best = None
             for f in range(d):
-                found = scan(X[idx, f], targets[idx], trees.sse_decrease)
+                found = scan(X[idx, f], targets[idx], tree_oracle.sse_decrease)
                 if found is not None and (best is None or found[0] > best[0]):
                     best = (found[0], f, found[1])
-            assert best == (gain, feature, tree["threshold"][node])
+            assert best[1:] == (feature, tree["threshold"][node])
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_a_lockstep_forest_grows_the_oracle_trees(self, data):
+        # zero weights leave a row out of a tree; ties and conflicting
+        # labels are common on the grid
+        n = data.draw(st.integers(1, 30))
+        d = data.draw(st.integers(1, 4))
+        X = np.array(data.draw(st.lists(grid_values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+        n_trees = data.draw(st.integers(1, 5))
+        weights = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+            min_size=n_trees, max_size=n_trees)), dtype=np.int64)
+        weights[weights.sum(axis=1) == 0, 0] = 1  # a tree has a row
+        n_candidates = data.draw(st.integers(1, d))
+        max_depth = data.draw(st.sampled_from([None, 1, 2, 3]))
+        seed = data.draw(st.integers(0, 2 ** 16))
+
+        forest, importances = grow_trees(
+            X, y, [np.random.default_rng(seed + t) for t in range(n_trees)],
+            max_depth, n_candidates, weights)
+        order = tree_oracle.presort(X)
+        for t in range(n_trees):
+            expected_imp = np.zeros(d)
+            expected = tree_oracle.grow_tree(
+                X, y, np.random.default_rng(seed + t), max_depth,
+                n_candidates, expected_imp, weights[t], order)
+            assert forest[t] == expected
+            assert importances[t].tobytes() == expected_imp.tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_a_boosting_stage_grows_the_oracle_tree(self, data):
+        n = data.draw(st.integers(1, 40))
+        d = data.draw(st.integers(1, 4))
+        X = np.array(data.draw(st.lists(grid_values, min_size=n * d,
+                                        max_size=n * d))).reshape(n, d)
+        targets = np.array(data.draw(st.lists(
+            st.floats(-3, 3, allow_nan=False, allow_subnormal=False)
+            | st.sampled_from([-1.0, 0.0, 1.0]), min_size=n, max_size=n)))
+        max_depth = data.draw(st.sampled_from([None, 1, 2, 3]))
+
+        tree, = trees.grow(trees.presort(X), targets, trees.sse_decrease,
+                           max_depth, mean_leaves(targets))
+        expected = tree_oracle.grow(
+            X, targets, tree_oracle.sse_decrease, max_depth,
+            lambda: range(d), lambda idx: float(targets[idx].mean()))
+        assert tree == expected
 
     @settings(deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
