@@ -114,14 +114,16 @@ def evaluate_once(ds: Dataset, family: str, hp, split_seed: int,
     a scoring of the whole resample."""
     require("bootstrap_factor", bootstrap_factor, Count)
     train, test = split_dataset(ds, train_frac, split_seed)
-    fit_on, counts = train, None
+    fit_on = train
     if bootstrap_factor != 1:
         fit_on = bootstrap_resample(train, bootstrap_factor, split_seed)
-        if FAMILIES[family].per_row:
-            counts = np.bincount(bootstrap_draw(train.n, bootstrap_factor,
-                                                split_seed), minlength=train.n)
-    artifact = train_model(family, fit_on, hp)
-    scored = train if counts is not None else fit_on
+    artifact = train_model(family, fit_on, hp)  # refuses an unknown family
+    scored, counts = fit_on, None
+    if bootstrap_factor != 1 and FAMILIES[family].per_row:
+        # how often the resample drew each row: its draw, made again
+        scored = train
+        counts = np.bincount(bootstrap_draw(train.n, bootstrap_factor,
+                                            split_seed), minlength=train.n)
     _, train_pred = predict(artifact, scored.rows)
     _, test_pred = predict(artifact, test.rows)
     return (prf1(scored.labels, train_pred, counts),

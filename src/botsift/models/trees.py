@@ -13,17 +13,20 @@ does the work of all of them in a few vectorized passes: the leaf
 checks, the split scans and the partition of each split node's rows.
 A tree's nodes are contiguous ranges of one array of row ids, each in
 increasing row order. A scan needs a node's rows in the order of each
-offered feature, as a stable sort of that node alone gives them. A root
-reads them from the presort, less the rows of weight 0; a node offered
-every feature takes its parent's and splits them (the presorted
-attribute lists of SLIQ, Mehta et al. 1996); a node offered a few drawn
-features sorts its rows by their rank in each. The scans of a step go
-in groups of at most `SCAN_GROUP` (row, feature) elements, or one node,
-which bounds their arrays.
+offered feature, as a stable sort of that node alone gives them. An
+unweighted tree offered every feature (a boosting stage's) reads its
+root's from the presort and each other node's from its parent's, split
+(the presorted attribute lists of SLIQ, Mehta et al. 1996). A forest
+tree reads its root's from the presort, less the rows of weight 0, and
+sorts any other node's rows by their rank in each drawn feature. The
+scans of a step go in groups of at most `SCAN_GROUP` (row, feature)
+elements, or one node, which bounds their arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,27 +35,35 @@ FIELDS = ("feature", "threshold", "left", "right", "value")
 SCAN_GROUP = 1 << 14
 
 
-class Presorted(NamedTuple):
+@dataclass
+class Presorted:
     """`X` (n, d) as the grower reads it, the rest (d, n): `order[f]`
     lists the rows by ascending feature f, ties in increasing row order,
-    `rank[f, i]` is the position of row i in `order[f]`, `values[f]`
-    holds feature f in that order and `rises[f]` is set where the next
-    value is larger."""
+    and `rank[f, i]` is the position of row i in `order[f]`."""
     X: np.ndarray
     order: np.ndarray
     rank: np.ndarray
-    values: np.ndarray
-    rises: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Feature f in the order of `order[f]`, made when a root scan of
+        an unweighted tree first reads it: once per boosting fit, never
+        in a forest fit."""
+        return np.take_along_axis(self.X.T, self.order, axis=1)
+
+    @cached_property
+    def rises(self) -> np.ndarray:
+        """Where the next of `values` is larger."""
+        rises = np.zeros(self.values.shape, dtype=bool)
+        np.greater(self.values[:, 1:], self.values[:, :-1], out=rises[:, :-1])
+        return rises
 
 
 def presort(X: np.ndarray) -> Presorted:
     order = np.ascontiguousarray(np.argsort(X, axis=0, kind="stable").T)
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(X.shape[0]), axis=1)
-    values = np.take_along_axis(X.T, order, axis=1)
-    rises = np.zeros(values.shape, dtype=bool)
-    np.greater(values[:, 1:], values[:, :-1], out=rises[:, :-1])
-    return Presorted(np.ascontiguousarray(X), order, rank, values, rises)
+    return Presorted(np.ascontiguousarray(X), order, rank)
 
 
 class Scan(NamedTuple):
@@ -135,6 +146,14 @@ def sse_decrease(scan: Scan):
     for a, b in zip(bounds[:-1], bounds[1:]):
         ts = scan.ts[a:b].reshape(k, -1)
         m = ts.shape[1]
+        size.append(m)
+        # the splits that fall at a boundary, by offered feature, then
+        # position, in the layout of the (k, m - 1) gains
+        at = np.flatnonzero(scan.boundary[a:b].reshape(k, m)[:, :-1])
+        if not at.size:  # one row, or no offered feature varies
+            position.append(-1)
+            gain.append(0.0)
+            continue
         n_left = np.arange(1.0, m)
         # parent - (sse_left + sse_right), with s1 and s2 the running sums
         # of ts and ts * ts, sse_left = l2 - l1 * l1 / n_left and
@@ -156,12 +175,10 @@ def sse_decrease(scan: Scan):
         np.subtract(l2, gains, out=gains)
         gains += sse_left
         np.subtract(parent, gains, out=gains)
-        boundary = scan.boundary[a:b].reshape(k, m)[:, :-1]
-        gains[~boundary] = -np.inf
-        row, pos = divmod(int(gains.argmax()), m - 1)
-        position.append(a + row * m + pos if boundary[row, pos] else -1)
+        # the first of the largest
+        row, pos = divmod(int(at[gains.ravel()[at].argmax()]), m - 1)
+        position.append(a + row * m + pos)
         gain.append(gains[row, pos])
-        size.append(m)
     return np.array(position), np.array(gain), np.array(size)
 
 
@@ -184,15 +201,16 @@ def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
 
     With `draw`, a step takes the next node of every tree, in the tree's
     preorder, so each tree draws from its own stream in preorder whatever
-    the other trees do, and a scan sorts each node's rows by their rank
-    in each offered feature. Without it, a step takes every open node,
-    and a node's rows in each feature's order are its parent's, split.
+    the other trees do. Without it, a step takes every open node.
     `on_split(tree, feature, weight, decrease)` sees the splits of each
     step, with each split node's total weight: with `draw`, each tree's
     splits in preorder. `leaf_values(tree, rows, starts)` gives the value
     of every leaf i at once, `rows[starts[i]:starts[i + 1]]` its rows in
     increasing order and `tree[i]` its tree."""
     n, d = presorted.X.shape
+    # an unweighted tree offered every feature keeps the rows of each node
+    # it scans in each feature's order, for the node's children
+    attribute_lists = weights is None and draw is None
     if weights is None:
         rows, bounds, weights = np.arange(n), [0, n], (None, None)
     else:
@@ -205,8 +223,9 @@ def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
     n_trees = len(bounds) - 1
     # a node is (tree, first, end, depth, record): [first, end) is its
     # range of `rows`, and records number the nodes as they are made.
-    # Without `draw`, the split of each node of the last step is in
-    # `parents`, by the records of its children.
+    # With attribute lists, `parents` holds the split of each node of the
+    # last step, with its rows in each feature's order, by the records of
+    # its children.
     stacks = [[(t, bounds[t], bounds[t + 1], 0, t)] for t in range(n_trees)]
     n_records, parents = n_trees, {}
     made, thresholds = [], []
@@ -233,13 +252,14 @@ def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
         left = np.full(len(nodes), -1)
         split = (~leaf).nonzero()[0]
         if split.size:
-            if draw is None:
-                offered = np.arange(d)[None].repeat(split.size, axis=0)
+            offered = (np.arange(d)[None].repeat(split.size, axis=0)
+                       if draw is None else draw(tree[split]))
+            blocks = None
+            if attribute_lists:
                 blocks = [_child_rows(presorted.rank, *parents[r])
-                          for r in record[split].tolist()] if parents else []
-            else:
-                offered, blocks = draw(tree[split]), None
-            found, f, cut, gain, weight, n_left, below, scanned = _best_splits(
+                          for r in record[split].tolist()
+                          ] if depth.any() else [presorted.order]
+            found, f, cut, gain, weight, n_left, below = _best_splits(
                 presorted, rows, targets, weights, decrease, not depth.any(),
                 tree[split], lo[split], m[split], offered, blocks)
             split = split[found]
@@ -254,11 +274,11 @@ def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
             for t, a, mid, b, dep, rec in zip(*children):
                 # the left child is popped first: preorder
                 stacks[t] += [(t, mid, b, dep, rec + 1), (t, a, mid, dep, rec)]
-            if draw is None:
+            if attribute_lists:
                 parents = {}
-                for rec, *parent in zip(children[-1], scanned, f.tolist(),
-                                        below.tolist()):
-                    parent.append(None)
+                for i, rec, f_i, below_i in zip(found.tolist(), children[-1],
+                                                f.tolist(), below.tolist()):
+                    parent = [blocks[i], f_i, below_i, None]
                     parents[rec] = parent, True
                     parents[rec + 1] = parent, False
             if on_split is not None:
@@ -272,15 +292,14 @@ def grow(presorted: Presorted, targets: np.ndarray, decrease, max_depth,
 def _best_splits(presorted, rows, targets, weights, decrease, roots, tree,
                  lo, m, offered, blocks):
     """For the nodes (tree, lo, m), each offered the features of its row
-    of `offered`: (which of them split, and at which feature, threshold,
+    of `offered`: which of them split, and at which feature, threshold,
     decrease and node weight, how many rows go left and the rank in that
-    feature of the last of them; and, with `blocks`, the rows each split
-    node scanned, (k, m) by offered feature). `weights` are all trees'
-    weights and which of them are positive, flat; `roots` says the nodes
-    are roots. `blocks` is None when the nodes are offered drawn
-    features, and else holds each node's rows in the order of each
-    feature, or nothing at the roots. Nodes are scanned in groups of at
-    most SCAN_GROUP (row, feature) elements, or one node."""
+    feature of the last of them. `weights` are all trees' weights and
+    which of them are positive, flat; `roots` says the nodes are roots.
+    `blocks`, when not None, holds each node's rows in the order of each
+    feature, (d, m), and each node is offered every feature. Nodes are
+    scanned in groups of at most SCAN_GROUP (row, feature) elements, or
+    one node."""
     cuts, total = [0], 0
     for c, size in enumerate((offered.shape[1] * m).tolist()):
         if total and total + size > SCAN_GROUP:
@@ -290,14 +309,13 @@ def _best_splits(presorted, rows, targets, weights, decrease, roots, tree,
     cuts.append(m.size)
     found = [_scan_group(presorted, rows, targets, weights, decrease, roots,
                          tree[a:b], lo[a:b], m[a:b], offered[a:b],
-                         blocks and blocks[a:b])
+                         None if blocks is None else blocks[a:b])
              for a, b in zip(cuts[:-1], cuts[1:])]
     for first, group in zip(cuts, found):
         group[0] += first
-    scanned = [block for group in found for block in group.pop()]
     node, f, lower, upper, *rest = map(np.concatenate, zip(*found))
     return [node, f, np.array(list(map(_midpoint, lower.tolist(),
-                                       upper.tolist()))), *rest, scanned]
+                                       upper.tolist()))), *rest]
 
 
 def _midpoint(lower: float, upper: float) -> float:
@@ -311,9 +329,9 @@ def _midpoint(lower: float, upper: float) -> float:
 
 def _scan_group(presorted, rows, targets, weights, decrease, roots, tree, lo,
                 m, offered, blocks):
-    """`_best_splits` for one group of nodes, the rows each scanned as a
-    list, and the nodes numbered within the group."""
-    X, order, rank = (a.ravel() for a in presorted[:3])
+    """`_best_splits` for one group of nodes, numbered within the group."""
+    X, order, rank = (presorted.X.ravel(), presorted.order.ravel(),
+                      presorted.rank.ravel())
     flat_w, kept = weights
     n = presorted.order.shape[1]
     k = offered.shape[1]
@@ -321,15 +339,15 @@ def _scan_group(presorted, rows, targets, weights, decrease, roots, tree, lo,
     size = m.repeat(k)  # of each slot
     starts = _cumsum0(size)
     boundary = None
-    if blocks:
+    if blocks is not None:
         ids = np.concatenate(blocks, axis=None)
-    elif roots and m.min() == n:  # each slot is its feature's presort
-        ids = presorted.order[feature].ravel()
-        xs = presorted.values[feature].ravel()
-        boundary = presorted.rises[feature].ravel()
+        if roots:  # every row of every feature, in the presort's order
+            xs, boundary = presorted.values.ravel(), presorted.rises.ravel()
     elif roots:  # a root's slot is its feature's presort, less weight 0
         ids = presorted.order[feature]
-        ids = ids[kept.take(ids + (tree * n).repeat(k)[:, None])]
+        # np.compress is several times faster than a 2-d boolean index
+        ids = ids.ravel().compress(
+            kept.take(ids + (tree * n).repeat(k)[:, None]).ravel())
     else:
         ids = rows[(lo.repeat(k) - starts[:-1]).repeat(size)
                    + np.arange(starts[-1])]
@@ -358,11 +376,8 @@ def _scan_group(presorted, rows, targets, weights, decrease, roots, tree, lo,
     e = e[node]
     s = node * k + (e - starts[node * k]) // m[node]
     f = feature[s]
-    block = starts[::k].tolist()
-    scanned = [] if blocks is None else [
-        ids[block[c]:block[c + 1]].reshape(k, -1) for c in node.tolist()]
     return [node, f, xs[e], xs[e + 1], gain[node], weight[node],
-            e - starts[s] + 1, rank[f * n + ids[e]], scanned]
+            e - starts[s] + 1, rank[f * n + ids[e]]]
 
 
 def _gini(count: np.ndarray, positive: np.ndarray) -> np.ndarray:
@@ -406,7 +421,8 @@ def _child_rows(rank, parent, goes_left):
     rows, feature, below, left = parent
     if left is None:
         left = parent[3] = rank[feature][rows] <= below
-    return rows[left if goes_left else ~left].reshape(len(rows), -1)
+    return rows.ravel().compress((left if goes_left else ~left).ravel()
+                                 ).reshape(len(rows), -1)
 
 
 def _assemble(made, thresholds, n_trees, rows, leaf_values) -> list:

@@ -187,6 +187,13 @@ class TestBootstrap:
         assert train_m.n == factor * train.n
         assert train_m.f1 < 1.0
 
+    @pytest.mark.parametrize("factor", [1, 10])
+    def test_an_unknown_family_is_refused_at_any_factor(self, factor):
+        with pytest.raises(ValueError, match="unknown model family"):
+            evaluate_once(toy_dataset(30, seed=1), "forest",
+                          ForestParams(n_trees=2), split_seed=0,
+                          bootstrap_factor=factor)
+
     def test_evaluate_once_factor_one_trains_on_the_split(self):
         ds = toy_dataset(150, seed=10)
         hp = ForestParams(n_trees=5, seed=1)

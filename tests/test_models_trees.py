@@ -72,15 +72,23 @@ def sse_oracle(x, t):
 
 
 def scan(x, t, decrease, weights=None):
-    """(decrease, threshold) of the oracle's `best_split` on one
-    feature's values, presorted and weighted (default 1) as its grower
-    hands it a node; None when no split exists."""
-    order = tree_oracle.presort(x[:, None])[0]
+    """(decrease, threshold) of the best split that `decrease`
+    (`trees.gini_decrease` or `trees.sse_decrease`) finds on one
+    feature's values, presorted and weighted (default 1) into a one-node
+    `trees.Scan` as the grower hands it a node, the threshold from
+    `trees._midpoint`; None when no split exists."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
     if weights is None:
         weights = np.ones(x.shape[0], dtype=np.int64)
-    found = tree_oracle.best_split(x[order][None], t[order][None],
-                                   weights[order][None], decrease)
-    return None if found is None else found[:2]
+    boundary = np.zeros(x.shape[0], dtype=bool)
+    boundary[:-1] = xs[1:] > xs[:-1]
+    position, gain, _ = decrease(trees.Scan(
+        t[order], weights[order], np.array([0, x.shape[0]]), 1, boundary))
+    if position[0] < 0:
+        return None
+    e = int(position[0])
+    return float(gain[0]), trees._midpoint(float(xs[e]), float(xs[e + 1]))
 
 
 def root_split(x, t, decrease):
@@ -117,7 +125,7 @@ class TestGiniSplits:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)  # force duplicate values
             y = rng.integers(0, 2, size=n)
-            found = scan(x, y, tree_oracle.gini_decrease)
+            found = scan(x, y, trees.gini_decrease)
             expected = gini_oracle(x, y)
             if expected is None:
                 assert found is None
@@ -128,7 +136,7 @@ class TestGiniSplits:
 
     def test_constant_feature_returns_none(self):
         assert scan(np.ones(5), np.array([0, 1, 0, 1, 0]),
-                    tree_oracle.gini_decrease) is None
+                    trees.gini_decrease) is None
 
     def test_depth1_tree_threshold_matches_oracle(self):
         rng = np.random.default_rng(35)
@@ -306,7 +314,7 @@ class TestBoosting:
             n = int(rng.integers(2, 40))
             x = np.round(rng.normal(size=n), 1)
             t = rng.normal(size=n)
-            found = scan(x, t, tree_oracle.sse_decrease)
+            found = scan(x, t, trees.sse_decrease)
             expected = sse_oracle(x, t)
             if expected is None:
                 assert found is None
@@ -466,7 +474,7 @@ class TestTreeCoreProperties:
     def test_gini_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         y = np.array([label for _, label in pairs])
-        assert_optimal_split(scan(x, y, tree_oracle.gini_decrease),
+        assert_optimal_split(scan(x, y, trees.gini_decrease),
                              x, y, gini_oracle, 1e-12)
 
     @settings(deadline=None)
@@ -475,7 +483,7 @@ class TestTreeCoreProperties:
     def test_sse_split_matches_oracle(self, pairs):
         x = np.array([v for v, _ in pairs])
         t = np.array([target / 4.0 for _, target in pairs])
-        assert_optimal_split(scan(x, t, tree_oracle.sse_decrease),
+        assert_optimal_split(scan(x, t, trees.sse_decrease),
                              x, t, sse_oracle, 1e-9)
 
     @settings(deadline=None)
@@ -517,9 +525,9 @@ class TestTreeCoreProperties:
         x = np.array([v for v, _, _ in triples])
         y = np.array([label for _, label, _ in triples])
         w = np.array([count for _, _, count in triples])
-        assert (scan(x, y, tree_oracle.gini_decrease, w)
+        assert (scan(x, y, trees.gini_decrease, w)
                 == scan(np.repeat(x, w), np.repeat(y, w),
-                        tree_oracle.gini_decrease))
+                        trees.gini_decrease))
 
     @settings(deadline=None)
     @given(st.data())
@@ -562,8 +570,12 @@ class TestTreeCoreProperties:
         targets = np.array(data.draw(st.lists(
             st.floats(-3, 3, allow_nan=False, allow_subnormal=False),
             min_size=n, max_size=n)))
-        tree, = trees.grow(trees.presort(X), targets, trees.sse_decrease,
-                           None, mean_leaves(targets))
+        splits = []  # (rows, feature, decrease) of each split made
+        tree, = trees.grow(
+            trees.presort(X), targets, trees.sse_decrease, None,
+            mean_leaves(targets), on_split=lambda tree, f, w, g: splits.extend(
+                zip(w.tolist(), f.tolist(), g.tolist())))
+        scanned = []  # the same, from a scan of each inner node alone
         reach = {0: np.arange(n)}  # each node's rows, in increasing order
         for node, feature in enumerate(tree["feature"]):
             idx = reach.pop(node)
@@ -574,10 +586,14 @@ class TestTreeCoreProperties:
             reach[tree["right"][node]] = idx[~goes_left]
             best = None
             for f in range(d):
-                found = scan(X[idx, f], targets[idx], tree_oracle.sse_decrease)
+                found = scan(X[idx, f], targets[idx], trees.sse_decrease)
                 if found is not None and (best is None or found[0] > best[0]):
                     best = (found[0], f, found[1])
             assert best[1:] == (feature, tree["threshold"][node])
+            scanned.append((idx.size, feature, best[0]))
+        # a boosting stage reports its splits level by level, not in
+        # preorder, so they are compared as a whole
+        assert sorted(splits) == sorted(scanned)
 
     @settings(deadline=None, max_examples=200)
     @given(st.data())
